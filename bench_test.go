@@ -316,7 +316,10 @@ func BenchmarkVerificationOverhead(b *testing.B) {
 	b.Run("raw-engine", func(b *testing.B) {
 		ch := ycsb.NewKeyChooser(ycsb.Uniform, n, 1)
 		for i := 0; i < b.N; i++ {
-			if _, _, err := s.Engine().Get(ycsb.Key(ch.Next()), record.MaxTs); err != nil {
+			sn := s.Engine().AcquireEphemeralSnapshot()
+			_, _, err := sn.Get(ycsb.Key(ch.Next()), record.MaxTs)
+			sn.Release()
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -166,6 +166,77 @@ func TestIteratorStreamsInChunks(t *testing.T) {
 	}
 }
 
+// TestScanChunkBoundsMergedKeys checks the verified chunk bound when keys
+// interleave across runs and the memtable: each source holds at most
+// maxKeys keys of a chunk, but together they would hold several times
+// that, so the chunk is cut at the maxKeys-th merged key — and the cut
+// chunks still verify and add up to the whole range, tombstones included.
+func TestScanChunkBoundsMergedKeys(t *testing.T) {
+	cfg := smallCfg(nil)
+	cfg.DisableCompaction = true
+	cfg.MemtableSize = 1 << 20
+	s := mustOpenP2(t, cfg)
+	defer s.Close()
+	const n, sources, maxKeys = 200, 4, 5
+	want := map[string]string{}
+	for src := 0; src < sources; src++ {
+		for i := src; i < n; i += sources {
+			key, val := fmt.Sprintf("key%04d", i), fmt.Sprintf("v%d", src)
+			if _, err := s.Put([]byte(key), []byte(val)); err != nil {
+				t.Fatal(err)
+			}
+			want[key] = val
+		}
+		if src < sources-1 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < n; i += 7 {
+		key := fmt.Sprintf("key%04d", i)
+		if _, err := s.Delete([]byte(key)); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, key)
+	}
+	v, err := s.acquire(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.release()
+	if len(v.runs) != sources-1 {
+		t.Fatalf("%d runs, want %d", len(v.runs), sources-1)
+	}
+	var got []Result
+	cursor := []byte("key")
+	for {
+		out, next, done, err := s.scanChunk(v, cursor, []byte("kez"), record.MaxTs, maxKeys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) > maxKeys {
+			t.Fatalf("chunk at %q carried %d results, limit %d", cursor, len(out), maxKeys)
+		}
+		got = append(got, out...)
+		if done {
+			break
+		}
+		cursor = next
+	}
+	if len(got) != len(want) {
+		t.Fatalf("chunks returned %d results, want %d", len(got), len(want))
+	}
+	for i, res := range got {
+		if i > 0 && bytes.Compare(got[i-1].Key, res.Key) >= 0 {
+			t.Fatalf("results out of order at %q", res.Key)
+		}
+		if want[string(res.Key)] != string(res.Value) {
+			t.Fatalf("%q = %q, want %q", res.Key, res.Value, want[string(res.Key)])
+		}
+	}
+}
+
 func TestIteratorHistoricalMatchesScanAt(t *testing.T) {
 	s := mustOpenP2(t, smallCfg(nil))
 	defer s.Close()

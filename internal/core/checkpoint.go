@@ -495,12 +495,7 @@ func RestoreCheckpoint(r io.Reader, cfg RestoreConfig) error {
 	for _, wf := range hdr.WALFiles {
 		memCap += int(wf.Size) * 2
 	}
-	eng, err := lsm.Open(lsm.Options{
-		FS:                cfg.FS,
-		Enclave:           enclave,
-		MemtableSize:      memCap,
-		DisableCompaction: true,
-	})
+	eng, err := lsm.Open(Config{FS: cfg.FS, MemtableSize: memCap, DisableCompaction: true}.engineOptions(enclave, nil))
 	if err != nil {
 		return fmt.Errorf("%w: restored manifest rejected: %v", ErrCheckpointCorrupt, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"elsm/internal/lsm"
 	"elsm/internal/record"
 	"elsm/internal/vfs"
 )
@@ -22,6 +23,32 @@ func smallCfg(fs vfs.FS) Config {
 		MaxLevels:     5,
 		KeepVersions:  0, // retain history: exercises version chains
 	}
+}
+
+// lookupRun is the host side of a one-run GET against the run with the
+// given ID, read through a snapshot of the current version.
+func lookupRun(e *lsm.Store, id uint64, key []byte, tsq uint64) (lsm.RunLookup, error) {
+	sn := e.AcquireEphemeralSnapshot()
+	defer sn.Release()
+	for i, ref := range sn.Runs() {
+		if ref.ID == id {
+			return sn.LookupRun(i, key, tsq)
+		}
+	}
+	return lsm.RunLookup{}, lsm.ErrUnknownRun
+}
+
+// scanRun is the host side of an unbounded one-run SCAN against the run
+// with the given ID, read through a snapshot of the current version.
+func scanRun(e *lsm.Store, id uint64, start, end []byte) (lsm.RunScan, error) {
+	sn := e.AcquireEphemeralSnapshot()
+	defer sn.Release()
+	for i, ref := range sn.Runs() {
+		if ref.ID == id {
+			return sn.ScanRunChunk(i, start, end, 0)
+		}
+	}
+	return lsm.RunScan{}, lsm.ErrUnknownRun
 }
 
 func mustOpenP2(t *testing.T, cfg Config) *Store {
@@ -206,6 +233,12 @@ func TestAttackCorruptSSTableDetected(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte(fmt.Sprintf("val%d", i)))
 	}
+	// Let background flushes and compactions finish first: the in-memory
+	// FS flips bytes in place, and a merge still streaming a table would
+	// race that write.
+	if err := s.Engine().WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
 	names, _ := fs.List("0")
 	if len(names) == 0 {
 		t.Fatal("no sstables on disk")
@@ -259,7 +292,7 @@ func TestAttackStaleResultDetected(t *testing.T) {
 	id := runs[0].ID
 	// The honest host would return the new version; a malicious host
 	// replays the old record (with its valid embedded proof).
-	staleLk, err := s.Engine().LookupRun(id, []byte("target"), ts1)
+	staleLk, err := lookupRun(s.Engine(), id, []byte("target"), ts1)
 	if err != nil || !staleLk.Found {
 		t.Fatalf("stale lookup: %+v err=%v", staleLk, err)
 	}
@@ -281,7 +314,7 @@ func TestAttackForgedValueDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := s.Engine().Runs()[0].ID
-	lk, err := s.Engine().LookupRun(id, []byte("k"), record.MaxTs)
+	lk, err := lookupRun(s.Engine(), id, []byte("k"), record.MaxTs)
 	if err != nil || !lk.Found {
 		t.Fatal("honest lookup failed")
 	}
@@ -313,11 +346,11 @@ func TestAttackFakeNonMembershipDetected(t *testing.T) {
 	}
 	id := s.Engine().Runs()[0].ID
 	d := s.snapshotDigests()[id]
-	predLk, err := s.Engine().LookupRun(id, []byte("key0049"), record.MaxTs)
+	predLk, err := lookupRun(s.Engine(), id, []byte("key0049"), record.MaxTs)
 	if err != nil || !predLk.Found {
 		t.Fatal("pred lookup failed")
 	}
-	succLk, err := s.Engine().LookupRun(id, []byte("key0051"), record.MaxTs)
+	succLk, err := lookupRun(s.Engine(), id, []byte("key0051"), record.MaxTs)
 	if err != nil || !succLk.Found {
 		t.Fatal("succ lookup failed")
 	}
@@ -341,7 +374,7 @@ func TestAttackScanOmissionDetected(t *testing.T) {
 	}
 	id := s.Engine().Runs()[0].ID
 	d := s.snapshotDigests()[id]
-	rs, err := s.Engine().ScanRun(id, []byte("key0050"), []byte("key0070"))
+	rs, err := scanRun(s.Engine(), id, []byte("key0050"), []byte("key0070"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"elsm/internal/record"
-)
+import "context"
 
 // DefaultIterChunkKeys is how many distinct keys a streaming iterator pulls
 // across the enclave boundary per ECall. Larger chunks amortize world
@@ -229,22 +225,19 @@ func (it *errIter) Err() error     { return it.err }
 func (it *errIter) Close() error   { return it.err }
 
 // ---------------------------------------------------------------------------
-// eLSM-P2 streaming verified scan
+// Streaming scans over a pinned view
 
-// Iter streams the latest verified value of every key in [start, end].
-func (c *Store) Iter(start, end []byte) Iterator { return c.IterAt(start, end, record.MaxTs) }
-
-// IterAt is Iter at a historical timestamp.
-func (c *Store) IterAt(start, end []byte, tsq uint64) Iterator {
-	return c.IterAtCtx(nil, start, end, tsq)
+// IterAt streams the newest value ≤ tsq of every key in [start, end].
+func (b *kvBase) IterAt(start, end []byte, tsq uint64) Iterator {
+	return b.IterAtCtx(nil, start, end, tsq)
 }
 
-// IterAtCtx streams the newest verified value ≤ tsq of every key in
-// [start, end]. The whole stream runs against ONE pinned read view — the
-// same unit that backs Snapshot — so the iterator is a point-in-time
-// observation: writes committed mid-iteration never surface in later
-// chunks, and concurrent flushes or compactions cannot perturb (or tear)
-// the stream. Each chunk is fetched and verified inside one ECall:
+// IterAtCtx streams the newest value ≤ tsq of every key in [start, end].
+// The whole stream runs against ONE pinned read view — the same unit that
+// backs Snapshot — so the iterator is a point-in-time observation: writes
+// committed mid-iteration never surface in later chunks, and concurrent
+// flushes or compactions cannot perturb (or tear) the stream. Each chunk is
+// fetched inside one enclave call; on eLSM-P2 it is also verified there:
 // per-record Merkle proofs establish integrity and freshness, and the
 // chunk's boundary witnesses establish completeness of the covered
 // sub-range, so by the time the stream ends the whole range is
@@ -253,17 +246,17 @@ func (c *Store) IterAt(start, end []byte, tsq uint64) Iterator {
 // A cancelled ctx stops the stream (Err reports the cancellation) and
 // prevents further chunk fetches, including the background prefetch. The
 // iterator MUST be closed: the view's run pins are held until Close.
-func (c *Store) IterAtCtx(ctx context.Context, start, end []byte, tsq uint64) Iterator {
-	v, err := c.acquireView()
+func (b *kvBase) IterAtCtx(ctx context.Context, start, end []byte, tsq uint64) Iterator {
+	v, err := b.step.acquire(true)
 	if err != nil {
 		return &errIter{err: err}
 	}
-	return c.viewIter(ctx, v, start, end, tsq)
+	return b.viewIter(ctx, v, start, end, tsq)
 }
 
-// viewIter builds the chunked verified iterator over an already-pinned
-// view, taking one reference on it for the stream's lifetime.
-func (c *Store) viewIter(ctx context.Context, v *readView, start, end []byte, tsq uint64) Iterator {
+// viewIter builds the chunked iterator over an already-pinned view; the
+// stream owns one reference on it and drops it at Close.
+func (b *kvBase) viewIter(ctx context.Context, v *readView, start, end []byte, tsq uint64) Iterator {
 	endC := append([]byte(nil), end...)
 	return newChunkIter(ctx, start, func(cursor []byte) ([]Result, []byte, bool, error) {
 		if ctx != nil {
@@ -277,7 +270,7 @@ func (c *Store) viewIter(ctx context.Context, v *readView, start, end []byte, ts
 			done bool
 			err  error
 		)
-		c.enclave.ECall(func() { out, next, done, err = v.scanChunk(cursor, endC, tsq, c.iterChunkKeys) })
+		b.ecall(func() { out, next, done, err = b.step.scanChunk(v, cursor, endC, tsq, b.iterChunkKeys) })
 		return out, next, done, err
 	}, v.release)
 }

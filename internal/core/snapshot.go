@@ -5,46 +5,43 @@ import (
 	"sync"
 
 	"elsm/internal/lsm"
-	"elsm/internal/record"
-	"elsm/internal/sgx"
 )
 
-// This file implements the Snapshot interface for the three store modes.
-// All three capture the same engine-level unit — lsm.Snapshot: the applied
-// timestamp frontier, the memtable pair, and the reference-counted run set
-// of the current version — so a snapshot's reads are repeatable bit for bit
-// across concurrent flushes, compactions and WAL rotations; eLSM-P2
-// additionally pairs it with the trusted digest forest (readView) so every
+// viewSnapshot is the Snapshot of every mode: a caller-held readView. All
+// three modes capture the same engine-level unit — lsm.Snapshot: the
+// applied timestamp frontier, the memtable pair, and the reference-counted
+// run set of the current version — so a snapshot's reads are repeatable bit
+// for bit across concurrent flushes, compactions and WAL rotations; on
+// eLSM-P2 the view also carries the trusted digest forest, so every
 // snapshot read is verified exactly like the live paths.
-
-// p2Snapshot is the verified snapshot of the eLSM-P2 store.
-type p2Snapshot struct {
-	c    *Store
+type viewSnapshot struct {
+	b    *kvBase
 	view *readView
-	once sync.Once
+
+	mu     sync.Mutex
+	closed bool
 }
 
-// Snapshot implements KV for eLSM-P2: it pins the current trusted digest
-// snapshot together with its runs and memtables as one consistent verified
-// read session.
-func (c *Store) Snapshot() (Snapshot, error) {
+// Snapshot implements KV: it pins the current state — on eLSM-P2 with its
+// trusted digest forest — as one consistent read session.
+func (b *kvBase) Snapshot() (Snapshot, error) {
 	var (
 		v   *readView
 		err error
 	)
-	c.enclave.ECall(func() { v, err = c.acquireView() })
+	b.ecall(func() { v, err = b.step.acquire(true) })
 	if err != nil {
 		return nil, err
 	}
-	return &p2Snapshot{c: c, view: v}, nil
+	return &viewSnapshot{b: b, view: v}, nil
 }
 
 // Ts implements Snapshot.
-func (s *p2Snapshot) Ts() uint64 { return s.view.ts() }
+func (s *viewSnapshot) Ts() uint64 { return s.view.ts() }
 
-// GetAt implements Snapshot: the verified GET protocol against the pinned
-// view (tsq clamped to the snapshot frontier).
-func (s *p2Snapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
+// GetAt implements Snapshot: the mode's GET against the pinned view (tsq
+// clamped to the snapshot frontier).
+func (s *viewSnapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -52,143 +49,34 @@ func (s *p2Snapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result,
 	}
 	var res Result
 	var err error
-	s.c.enclave.ECall(func() { res, err = s.view.getAt(key, tsq) })
+	s.b.ecall(func() { res, err = s.b.step.getAt(s.view, key, tsq) })
 	return res, err
 }
 
-// IterAt implements Snapshot: the chunked verified stream over the pinned
-// view. The iterator takes its own view reference, so closing the snapshot
+// IterAt implements Snapshot: the chunked stream over the pinned view. The
+// iterator takes its own view reference, so closing the snapshot
 // mid-iteration does not unpin the stream's runs.
-func (s *p2Snapshot) IterAt(ctx context.Context, start, end []byte, tsq uint64) Iterator {
-	s.view.retain()
-	return s.c.viewIter(ctx, s.view, start, end, tsq)
-}
-
-// Close implements Snapshot, releasing the snapshot's run pins. Idempotent.
-func (s *p2Snapshot) Close() error {
-	s.once.Do(s.view.release)
-	return nil
-}
-
-// rawSnapshot is the unverified snapshot shared by eLSM-P1 and the
-// unsecured baseline: the same pinned engine view, read through the plain
-// engine protocol (P1's integrity comes from block seals applied below
-// this layer; unsecured has none).
-type rawSnapshot struct {
-	esnap     *lsm.Snapshot
-	enclave   *sgx.Enclave // nil for the unsecured store
-	chunkKeys int
-	refs      int // iterator references, guarded by mu
-	closed    bool
-	mu        sync.Mutex
-}
-
-// newRawSnapshot pins the engine state for a P1/unsecured snapshot.
-func newRawSnapshot(engine *lsm.Store, enclave *sgx.Enclave, chunkKeys int) *rawSnapshot {
-	return &rawSnapshot{esnap: engine.AcquireSnapshot(), enclave: enclave, chunkKeys: chunkKeys}
-}
-
-// ecall runs fn as an enclave call when the mode has an enclave.
-func (s *rawSnapshot) ecall(fn func()) {
-	if s.enclave != nil {
-		s.enclave.ECall(fn)
-		return
-	}
-	fn()
-}
-
-// Ts implements Snapshot.
-func (s *rawSnapshot) Ts() uint64 { return s.esnap.Ts() }
-
-// GetAt implements Snapshot.
-func (s *rawSnapshot) GetAt(ctx context.Context, key []byte, tsq uint64) (Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-	}
-	var res Result
-	var err error
-	s.ecall(func() {
-		var rec record.Record
-		var ok bool
-		rec, ok, err = s.esnap.Get(key, tsq)
-		if err == nil && ok {
-			res = resultFrom(rec)
-		}
-	})
-	return res, err
-}
-
-// IterAt implements Snapshot: chunks stream through one enclave call each.
-func (s *rawSnapshot) IterAt(ctx context.Context, start, end []byte, tsq uint64) Iterator {
+func (s *viewSnapshot) IterAt(ctx context.Context, start, end []byte, tsq uint64) Iterator {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return &errIter{err: lsm.ErrClosed}
 	}
-	s.refs++
+	s.view.retain()
 	s.mu.Unlock()
-	endC := append([]byte(nil), end...)
-	return newChunkIter(ctx, start, func(cursor []byte) ([]Result, []byte, bool, error) {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, false, err
-			}
-		}
-		var (
-			recs []record.Record
-			next []byte
-			done bool
-			err  error
-		)
-		s.ecall(func() { recs, next, done, err = s.esnap.ScanChunk(cursor, endC, tsq, s.chunkKeys) })
-		if err != nil {
-			return nil, nil, false, err
-		}
-		out := make([]Result, 0, len(recs))
-		for _, rec := range recs {
-			out = append(out, resultFrom(rec))
-		}
-		return out, next, done, nil
-	}, s.unref)
+	return s.b.viewIter(ctx, s.view, start, end, tsq)
 }
 
-// unref drops an iterator reference, releasing the engine pins once the
-// snapshot is closed and no iterators remain.
-func (s *rawSnapshot) unref() {
-	s.mu.Lock()
-	s.refs--
-	release := s.closed && s.refs == 0
-	s.mu.Unlock()
-	if release {
-		s.esnap.Release()
-	}
-}
-
-// Close implements Snapshot. Idempotent; open iterators keep the engine
-// pins until they close.
-func (s *rawSnapshot) Close() error {
+// Close implements Snapshot, releasing the snapshot's reference. Idempotent;
+// open iterators keep the pins until they close.
+func (s *viewSnapshot) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	release := s.refs == 0
 	s.mu.Unlock()
-	if release {
-		s.esnap.Release()
-	}
+	s.view.release()
 	return nil
-}
-
-// Snapshot implements KV for eLSM-P1.
-func (s *StoreP1) Snapshot() (Snapshot, error) {
-	return newRawSnapshot(s.engine, s.enclave, s.iterChunkKeys), nil
-}
-
-// Snapshot implements KV for the unsecured baseline.
-func (s *Unsecured) Snapshot() (Snapshot, error) {
-	return newRawSnapshot(s.engine, nil, s.iterChunkKeys), nil
 }

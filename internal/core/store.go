@@ -180,9 +180,8 @@ type Snapshot interface {
 // inside the enclave, read buffers and files outside, all out-of-enclave
 // data authenticated by the Merkle forest.
 type Store struct {
-	engine  *lsm.Store
-	enclave *sgx.Enclave
-	fs      vfs.FS
+	kvBase
+	fs vfs.FS
 
 	platform    *sgx.Platform
 	measurement sgx.Measurement
@@ -199,7 +198,6 @@ type Store struct {
 	epoch atomic.Uint64
 
 	counterInterval int
-	iterChunkKeys   int
 
 	// snap is the lock-free read snapshot of the trusted digest forest:
 	// an immutable map swapped atomically by copy-on-write whenever a
@@ -268,9 +266,6 @@ type Store struct {
 	statProofBytes atomic.Uint64
 	statRunsProbed atomic.Uint64
 
-	// rec is the shard's observability recorder (nil = instrumentation off).
-	rec *obs.Recorder
-
 	listener *authListener
 }
 
@@ -299,6 +294,7 @@ var _ KV = (*Store)(nil)
 
 // Open creates or recovers an eLSM-P2 store.
 func Open(cfg Config) (*Store, error) {
+	cfg = cfg.withDefaults()
 	enclave := cfg.Enclave
 	if enclave == nil {
 		enclave = sgx.New(cfg.SGX)
@@ -315,10 +311,6 @@ func Open(cfg Config) (*Store, error) {
 	if counter == nil {
 		counter = sgx.NewMonotonicCounter()
 	}
-	fs := cfg.FS
-	if fs == nil {
-		fs = vfs.NewMem()
-	}
 	interval := cfg.CounterInterval
 	if interval == 0 {
 		interval = DefaultCounterInterval
@@ -326,23 +318,17 @@ func Open(cfg Config) (*Store, error) {
 	if interval < 0 {
 		interval = 0
 	}
-	chunkKeys := cfg.IterChunkKeys
-	if chunkKeys <= 0 {
-		chunkKeys = DefaultIterChunkKeys
-	}
 	c := &Store{
-		enclave:         enclave,
-		fs:              fs,
+		fs:              cfg.FS,
 		platform:        platform,
 		counter:         counter,
 		counterInterval: interval,
-		iterChunkKeys:   chunkKeys,
 		measurement:     sgx.Measure([]byte("elsm-p2")),
 	}
+	c.kvBase = kvBase{enclave: enclave, step: c, iterChunkKeys: cfg.IterChunkKeys, rec: cfg.Obs}
 	c.snap.Store(&trustedView{digests: make(map[uint64]runDigest)})
 	c.sealKey = platform.SealingKey(c.measurement)
 	c.disableEarlyStop = cfg.DisableEarlyStop
-	c.rec = cfg.Obs
 	c.listener = &authListener{c: c}
 
 	var cache *blockcache.Cache
@@ -350,29 +336,9 @@ func Open(cfg Config) (*Store, error) {
 		// P2 places the read buffer OUTSIDE the enclave (§4.2).
 		cache = blockcache.New(cfg.CacheSize, nil)
 	}
-	engine, err := lsm.Open(lsm.Options{
-		FS:                    fs,
-		Enclave:               enclave,
-		Listener:              c.listener,
-		Cache:                 cache,
-		MmapReads:             cfg.MmapReads,
-		MemtableSize:          cfg.MemtableSize,
-		BlockSize:             cfg.BlockSize,
-		TableFileSize:         cfg.TableFileSize,
-		LevelBase:             cfg.LevelBase,
-		LevelMultiplier:       cfg.LevelMultiplier,
-		MaxLevels:             cfg.MaxLevels,
-		KeepVersions:          cfg.KeepVersions,
-		DisableCompaction:     cfg.DisableCompaction,
-		DisableWAL:            cfg.DisableWAL,
-		GroupCommitMaxOps:     cfg.GroupCommitMaxOps,
-		GroupCommitWindow:     cfg.GroupCommitWindow,
-		MaxAsyncCommitBacklog: cfg.MaxAsyncCommitBacklog,
-		InlineCompaction:      cfg.InlineCompaction,
-		CompactionWorkers:     cfg.CompactionWorkers,
-		Workers:               cfg.Workers,
-		Obs:                   cfg.Obs,
-	})
+	opts := cfg.engineOptions(enclave, cache)
+	opts.Listener = c.listener
+	engine, err := lsm.Open(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +347,7 @@ func Open(cfg Config) (*Store, error) {
 		engine.Close()
 		return nil, err
 	}
-	if !fs.Exists(trustedStateName) {
+	if !c.fs.Exists(trustedStateName) {
 		// A fresh store seals its empty state before accepting writes:
 		// recovery refuses data files without sealed state, so deferring
 		// the first seal to the interval/flush/close path would leave a
@@ -687,87 +653,6 @@ func (c *Store) UnverifiedReplay() int {
 	return c.unverifiedReplay
 }
 
-// ---------------------------------------------------------------------------
-// Operations (each wrapped in an ECall: the trusted application calls into
-// the enclave, §6.1)
-
-// Put writes a key-value record, returning its trusted timestamp.
-func (c *Store) Put(key, value []byte) (uint64, error) { return c.PutCtx(nil, key, value) }
-
-// PutCtx is Put with commit-queue cancellation: a context cancelled while
-// the write still waits in the group-commit queue withdraws it.
-func (c *Store) PutCtx(ctx context.Context, key, value []byte) (uint64, error) {
-	var ts uint64
-	var err error
-	c.enclave.ECall(func() { ts, err = c.engine.PutCtx(ctx, key, value) })
-	return ts, err
-}
-
-// Delete writes a tombstone.
-func (c *Store) Delete(key []byte) (uint64, error) { return c.DeleteCtx(nil, key) }
-
-// DeleteCtx is Delete with commit-queue cancellation.
-func (c *Store) DeleteCtx(ctx context.Context, key []byte) (uint64, error) {
-	var ts uint64
-	var err error
-	c.enclave.ECall(func() { ts, err = c.engine.DeleteCtx(ctx, key) })
-	return ts, err
-}
-
-// Sync is the durability barrier: it returns once every commit accepted
-// before the call — synchronous or asynchronous — is fsynced to the
-// untrusted log.
-func (c *Store) Sync(ctx context.Context) error {
-	var err error
-	c.enclave.ECall(func() { err = c.engine.Sync(ctx) })
-	return err
-}
-
-// Get returns the latest verified value of key.
-func (c *Store) Get(key []byte) (Result, error) { return c.GetAt(key, record.MaxTs) }
-
-// GetAt returns the newest verified value with Ts ≤ tsq (the paper's
-// GET(k, tsq)).
-func (c *Store) GetAt(key []byte, tsq uint64) (Result, error) {
-	return c.GetAtCtx(nil, key, tsq)
-}
-
-// GetAtCtx is GetAt with cancellation (checked before the enclave call —
-// a point lookup is a single short ECall). It acquires an ephemeral read
-// view — the same pinned (runs, digests) unit that backs Snapshot — runs
-// the verified GET protocol against it, and releases it: point reads,
-// iterators and snapshots share one implementation.
-func (c *Store) GetAtCtx(ctx context.Context, key []byte, tsq uint64) (Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-	}
-	var start time.Time
-	if c.rec != nil {
-		start = time.Now()
-	}
-	var res Result
-	var err error
-	c.enclave.ECall(func() {
-		var v *readView
-		v, err = c.acquireEphemeralView()
-		if err != nil {
-			return
-		}
-		defer v.release()
-		res, err = v.getAt(key, tsq)
-	})
-	if c.rec != nil && err == nil {
-		c.rec.GetE2E.ObserveSince(start)
-	}
-	return res, err
-}
-
-// maxRetries bounds view-acquisition retries when a concurrent compaction
-// installs between the run snapshot and the digest load.
-const maxRetries = 4
-
 // resultFrom converts a verified record (tombstones become not-found).
 func resultFrom(rec record.Record) Result {
 	if rec.Kind == record.KindDelete {
@@ -781,24 +666,14 @@ func resultFrom(rec record.Record) Result {
 	}
 }
 
-// Scan returns the latest verified value of every key in [start, end]
-// (§5.4: completeness-verified range query).
-func (c *Store) Scan(start, end []byte) ([]Result, error) {
-	return c.ScanAt(start, end, record.MaxTs)
-}
+// Iter streams the latest verified value of every key in [start, end].
+func (c *Store) Iter(start, end []byte) Iterator { return c.IterAt(start, end, record.MaxTs) }
 
 // ScanAt is Scan at a historical timestamp (the paper's SCAN(k1, k2, tsq)),
 // rebased on the streaming verified iterator: the range is fetched and
 // verified chunk by chunk, then materialized for the caller.
 func (c *Store) ScanAt(start, end []byte, tsq uint64) ([]Result, error) {
 	return scanAll(c.IterAt(start, end, tsq))
-}
-
-// Flush forces the memtable to disk through the authenticated flush path.
-func (c *Store) Flush() error {
-	var err error
-	c.enclave.ECall(func() { err = c.engine.Flush() })
-	return err
 }
 
 // Compact triggers an authenticated COMPACTION of level lvl into lvl+1.
@@ -808,24 +683,10 @@ func (c *Store) Compact(lvl int) error {
 	return err
 }
 
-// BulkLoad populates an empty store, building the digest forest in one
-// authenticated pass (YCSB load phase at scale).
-func (c *Store) BulkLoad(recs []record.Record) error {
-	var err error
-	c.enclave.ECall(func() { err = c.engine.BulkLoad(recs) })
-	return err
-}
-
-// Engine exposes the underlying engine (benchmarks and tests).
-func (c *Store) Engine() *lsm.Store { return c.engine }
-
 // Recorder returns the shard's observability recorder (nil when
 // instrumentation is off); replication tailers and servers file their
 // events through it.
 func (c *Store) Recorder() *obs.Recorder { return c.rec }
-
-// Enclave exposes the simulated enclave (stats inspection).
-func (c *Store) Enclave() *sgx.Enclave { return c.enclave }
 
 // DigestInfo is a read-only view of one run's trusted digest.
 type DigestInfo struct {

@@ -11,17 +11,15 @@ import (
 	"elsm/internal/record"
 )
 
-// readView is the unit of consistent verified reading in eLSM-P2: an engine
-// snapshot (pinned runs + captured memtables + applied-timestamp frontier)
-// paired with the trusted digest forest covering those runs. Every verified
-// read path — GetAt, the streaming iterator, and the public Snapshot — runs
-// against a readView, so they share one protocol implementation and one
-// consistency argument:
+// readView is the unit of consistent reading in every mode: an engine
+// snapshot (pinned runs + captured memtables + applied-timestamp
+// frontier), paired on eLSM-P2 with the trusted digest forest covering
+// those runs. Every read path — GetAt, the streaming iterator, and the
+// public Snapshot — runs against a readView, so they share one
+// implementation and one consistency argument:
 //
 //   - the pinned runs are immutable and their files cannot be deleted while
-//     the pin is held, so per-run lookups never race a compaction install
-//     (the missing-run and epoch retries of the pre-snapshot code are gone
-//     by construction);
+//     the pin is held, so per-run lookups never race a compaction install;
 //   - a run's digest never changes once installed, so the captured forest
 //     stays valid for the pinned runs no matter how many versions install
 //     afterwards;
@@ -34,44 +32,45 @@ import (
 // a Snapshot holds another, so closing the snapshot mid-iteration cannot
 // unpin the runs under the stream.
 type readView struct {
-	c     *Store
 	esnap *lsm.Snapshot
-	digs  map[uint64]runDigest
+	runs  []lsm.RunRef         // eLSM-P2: esnap's runs in read order
+	digs  map[uint64]runDigest // eLSM-P2: a trusted digest for each
 	refs  atomic.Int32
 }
 
-// acquireView captures a coherent (runs, digests) pair as a read session
-// (counted in SnapshotsOpen); acquireEphemeralView is the ungauged variant
-// for one-shot point reads. The digest forest is loaded AFTER the engine
-// snapshot: installs swap levels and digests in one engine-lock critical
-// section, so the loaded view can only be same-age or newer than the run
-// set — and a newer view is coherent as long as it still carries a digest
-// for every pinned run (digests are per-run immutable). A missing digest
-// means an install replaced pinned runs in the acquisition window;
-// re-acquire against the new version.
-func (c *Store) acquireView() (*readView, error) {
-	return c.acquireViewWith(c.engine.AcquireSnapshot)
+// newReadView wraps a pinned engine snapshot, holding one reference.
+func newReadView(esnap *lsm.Snapshot, runs []lsm.RunRef, digs map[uint64]runDigest) *readView {
+	v := &readView{esnap: esnap, runs: runs, digs: digs}
+	v.refs.Store(1)
+	return v
 }
 
-func (c *Store) acquireEphemeralView() (*readView, error) {
-	return c.acquireViewWith(c.engine.AcquireEphemeralSnapshot)
-}
+// maxRetries bounds view-acquisition retries when a concurrent compaction
+// installs between the run snapshot and the digest load.
+const maxRetries = 4
 
-func (c *Store) acquireViewWith(acquire func() *lsm.Snapshot) (*readView, error) {
+// acquire implements readStep for eLSM-P2: it captures a coherent (runs,
+// digests) pair. The digest forest is loaded AFTER the engine snapshot:
+// installs swap levels and digests in one engine-lock critical section, so
+// the loaded view can only be same-age or newer than the run set — and a
+// newer view is coherent as long as it still carries a digest for every
+// pinned run (digests are per-run immutable). A missing digest means an
+// install replaced pinned runs in the acquisition window; re-acquire
+// against the new version.
+func (c *Store) acquire(gauged bool) (*readView, error) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		esnap := acquire()
+		esnap := c.pin(gauged)
 		digs := c.snapshotDigests()
+		runs := esnap.Runs()
 		ok := true
-		for _, ref := range esnap.Runs() {
+		for _, ref := range runs {
 			if _, have := digs[ref.ID]; !have {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			v := &readView{c: c, esnap: esnap, digs: digs}
-			v.refs.Store(1)
-			return v, nil
+			return newReadView(esnap, runs, digs), nil
 		}
 		esnap.Release()
 	}
@@ -98,8 +97,7 @@ func (v *readView) ts() uint64 { return v.esnap.Ts() }
 // proof by Lemma 5.4). With DisableEarlyStop the walk continues through
 // every run (prior-work behaviour, for the ablation), verifying deeper
 // runs' membership or non-membership too. Caller is inside an ECall.
-func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
-	c := v.c
+func (c *Store) getAt(v *readView, key []byte, tsq uint64) (Result, error) {
 	c.statGets.Add(1)
 	if rec, ok := v.esnap.MemGet(key, tsq); ok {
 		return resultFrom(rec), nil
@@ -117,7 +115,7 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 		}()
 	}
 	var first *Result
-	for i, run := range v.esnap.Runs() {
+	for i, run := range v.runs {
 		d := v.digs[run.ID]
 		if d.NumLeaves == 0 {
 			continue
@@ -177,23 +175,23 @@ func (v *readView) getAt(key []byte, tsq uint64) (Result, error) {
 }
 
 // scanChunk runs one bounded round of the SCAN protocol of §5.4 over
-// [start, end] against the view: every pinned run returns at most maxKeys
-// keys; the chunk's effective end is the smallest last key among runs that
-// hit their limit (so every run's result can be verified as a complete
-// sub-range), each run's result is shrunk to that bound and checked with
+// [start, end] against the view. Every pinned run returns at most maxKeys
+// keys, and so does the memtable; the chunk's effective end is the
+// smallest last key among the sources that hit their limit (so every run's
+// result can be verified as a complete sub-range), cut further to the
+// maxKeys-th key of the merged sources so a chunk never carries more than
+// maxKeys keys. Each run's result is shrunk to that bound and checked with
 // verifyRunScan, and versions are resolved across the captured memtables
 // and runs exactly as in the materialized protocol. The returned cursor
-// resumes immediately after the chunk's effective end. Unlike the
-// pre-snapshot implementation, no retry is needed: the view's sources are
-// immutable. Caller is inside an ECall.
-func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []Result, next []byte, done bool, err error) {
-	c := v.c
+// resumes immediately after the chunk's effective end. No retry is needed:
+// the view's sources are immutable. Caller is inside an ECall.
+func (c *Store) scanChunk(v *readView, start, end []byte, tsq uint64, maxKeys int) (out []Result, next []byte, done bool, err error) {
 	if rec := c.rec; rec != nil {
 		defer func(t time.Time) { rec.ScanChunk.ObserveSince(t) }(time.Now())
 	}
 	var scans []lsm.RunScan
 	chunkEnd := end
-	for i, run := range v.esnap.Runs() {
+	for i, run := range v.runs {
 		d := v.digs[run.ID]
 		if d.NumLeaves == 0 {
 			continue
@@ -212,10 +210,10 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 		}
 		scans = append(scans, rs)
 	}
-	for i := range scans {
-		shrinkRunScan(&scans[i], chunkEnd)
-		if verr := verifyRunScan(start, chunkEnd, scans[i], v.digs[scans[i].RunID]); verr != nil {
-			return nil, nil, false, verr
+	mem := v.esnap.MemScan(start, chunkEnd, tsq, maxKeys)
+	if maxKeys > 0 && len(mem) == maxKeys {
+		if last := mem[len(mem)-1].Key; bytes.Compare(last, chunkEnd) < 0 {
+			chunkEnd = last
 		}
 	}
 
@@ -241,15 +239,28 @@ func (v *readView) scanChunk(start, end []byte, tsq uint64, maxKeys int) (out []
 		ks.resolved = true
 		ks.res = resultFrom(rec)
 	}
-	for _, rec := range v.esnap.MemScan(start, chunkEnd, tsq) {
+	for _, rec := range mem {
 		consider(rec)
 	}
 	for _, rs := range scans {
 		for _, rec := range rs.Records {
+			if bytes.Compare(rec.Key, chunkEnd) > 0 {
+				break
+			}
 			consider(rec)
 		}
 	}
 	sort.Strings(order)
+	if maxKeys > 0 && len(order) > maxKeys {
+		chunkEnd = []byte(order[maxKeys-1])
+		order = order[:maxKeys]
+	}
+	for i := range scans {
+		shrinkRunScan(&scans[i], chunkEnd)
+		if verr := verifyRunScan(start, chunkEnd, scans[i], v.digs[scans[i].RunID]); verr != nil {
+			return nil, nil, false, verr
+		}
+	}
 	for _, k := range order {
 		if ks := states[k]; ks.resolved && ks.res.Found {
 			out = append(out, ks.res)

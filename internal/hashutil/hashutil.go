@@ -37,8 +37,6 @@ const (
 	tagLeaf
 	tagNode
 	tagWAL
-	tagState
-	tagFile
 )
 
 // RecordDigest hashes one key-value record: H(tag ‖ len(k) ‖ k ‖ ts ‖ v).
@@ -116,34 +114,6 @@ func WALLink(dig Hash, kind byte, key []byte, ts uint64, value []byte) Hash {
 	binary.BigEndian.PutUint64(buf[:8], ts)
 	h.Write(buf[:8])
 	h.Write(value)
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
-
-// StateDigest binds an ordered list of level roots plus the WAL digest into
-// one dataset-wide hash, which the rollback defence (§5.6.1) pins to the
-// trusted monotonic counter.
-func StateDigest(roots []Hash, walDigest Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{tagState})
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(len(roots)))
-	h.Write(buf[:])
-	for _, r := range roots {
-		h.Write(r[:])
-	}
-	h.Write(walDigest[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
-
-// FileDigest hashes raw file bytes (file-granularity protection in eLSM-P1).
-func FileDigest(data []byte) Hash {
-	h := sha256.New()
-	h.Write([]byte{tagFile})
-	h.Write(data)
 	var out Hash
 	h.Sum(out[:0])
 	return out

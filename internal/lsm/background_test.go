@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -53,17 +52,17 @@ func TestBackgroundFlushInstalls(t *testing.T) {
 		t.Fatal("no runs on disk after background flushes")
 	}
 	for key, val := range want {
-		rec, ok, err := s.Get([]byte(key), record.MaxTs)
+		rec, ok, err := snapGet(s, []byte(key), record.MaxTs)
 		if err != nil || !ok || string(rec.Value) != val {
 			t.Fatalf("key %s: ok=%v err=%v val=%q", key, ok, err, rec.Value)
 		}
 	}
 }
 
-// TestPinnedRunSurvivesCompaction checks the refcount lifecycle: a reader
-// that pinned a run keeps it addressable and its files on disk across a
-// compaction that retires it; the files are deleted only when the pin
-// drops.
+// TestPinnedRunSurvivesCompaction checks the refcount lifecycle: a
+// snapshot that pinned a run keeps it readable and its files on disk
+// across a compaction that retires it; the files are deleted only when the
+// pin drops.
 func TestPinnedRunSurvivesCompaction(t *testing.T) {
 	fs := vfs.NewMem()
 	s, err := Open(bgOpts(fs))
@@ -79,12 +78,12 @@ func TestPinnedRunSurvivesCompaction(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	runs := s.Runs()
+	sn := s.AcquireSnapshot()
+	runs := sn.Runs()
 	if len(runs) == 0 {
 		t.Fatal("no runs to pin")
 	}
 	target := runs[0]
-	release := s.PinRuns([]uint64{target.ID})
 	if got := s.Stats().PinnedRuns; got == 0 {
 		t.Fatal("pin not reflected in PinnedRuns")
 	}
@@ -93,35 +92,28 @@ func TestPinnedRunSurvivesCompaction(t *testing.T) {
 	if err := s.Compact(target.Level); err != nil {
 		t.Fatal(err)
 	}
-	stillLive := false
 	for _, r := range s.Runs() {
 		if r.ID == target.ID {
-			stillLive = true
+			t.Fatal("compaction did not retire the pinned run")
 		}
-	}
-	if stillLive {
-		t.Fatal("compaction did not retire the pinned run")
 	}
 
 	// The retired run must remain readable through the pin.
-	lk, err := s.LookupRun(target.ID, []byte("key00007"), record.MaxTs)
+	lk, err := sn.LookupRun(0, []byte("key00007"), record.MaxTs)
 	if err != nil {
 		t.Fatalf("lookup on pinned retired run: %v", err)
 	}
 	if !lk.Found || string(lk.Rec.Value) != "pin-me" {
 		t.Fatalf("pinned retired run returned wrong data: %+v", lk)
 	}
-	sc, err := s.ScanRunChunk(target.ID, []byte("key00000"), []byte("key00020"), 0)
+	sc, err := sn.ScanRunChunk(0, []byte("key00000"), []byte("key00020"), 0)
 	if err != nil || len(sc.Records) == 0 {
 		t.Fatalf("scan on pinned retired run: %v (%d records)", err, len(sc.Records))
 	}
 
-	// Dropping the pin deletes the files and the run becomes unknown.
+	// Dropping the pin deletes the files.
 	before, _ := fs.List("0") // sst files are zero-padded numbers
-	release()
-	if _, err := s.LookupRun(target.ID, []byte("key00007"), record.MaxTs); !errors.Is(err, ErrUnknownRun) {
-		t.Fatalf("released run still resolvable: %v", err)
-	}
+	sn.Release()
 	after, _ := fs.List("0")
 	if len(after) >= len(before) {
 		t.Fatalf("releasing the last pin deleted no files: %d -> %d", len(before), len(after))
@@ -208,7 +200,7 @@ func TestCloseDrainsInFlightFlush(t *testing.T) {
 	}
 	defer s2.Close()
 	for key := range want {
-		if _, ok, err := s2.Get([]byte(key), record.MaxTs); err != nil || !ok {
+		if _, ok, err := snapGet(s2, []byte(key), record.MaxTs); err != nil || !ok {
 			t.Fatalf("key %s lost across close/reopen: ok=%v err=%v", key, ok, err)
 		}
 	}
@@ -257,7 +249,7 @@ func TestBackgroundFlushFailureFailsStop(t *testing.T) {
 	}
 	defer s2.Close()
 	for key := range acked {
-		if _, ok, err := s2.Get([]byte(key), record.MaxTs); err != nil || !ok {
+		if _, ok, err := snapGet(s2, []byte(key), record.MaxTs); err != nil || !ok {
 			t.Fatalf("acked key %s lost after mid-flush crash: ok=%v err=%v", key, ok, err)
 		}
 	}

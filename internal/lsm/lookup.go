@@ -25,20 +25,6 @@ type RunLookup struct {
 	EmptyRun bool
 }
 
-// LookupRun performs the untrusted side of a one-level GET.
-func (s *Store) LookupRun(runID uint64, key []byte, tsq uint64) (RunLookup, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return RunLookup{}, ErrClosed
-	}
-	r, err := s.findRunLocked(runID)
-	if err != nil {
-		return RunLookup{}, err
-	}
-	return lookupRun(r, key, tsq)
-}
-
 // lookupRun searches one immutable run. Safe without the engine lock as
 // long as the run is reachable (version membership or a pin) — its tables
 // and files never change.
@@ -93,29 +79,6 @@ type RunScan struct {
 	// returned key (still a valid right-boundary witness for the shrunken
 	// range) rather than a record beyond end.
 	Truncated bool
-}
-
-// ScanRun performs the untrusted side of a one-level SCAN over user keys
-// start ≤ k ≤ end.
-func (s *Store) ScanRun(runID uint64, start, end []byte) (RunScan, error) {
-	return s.ScanRunChunk(runID, start, end, 0)
-}
-
-// ScanRunChunk is ScanRun bounded to at most maxKeys distinct keys
-// (0 = unlimited). Version chains are never split: the limit applies at key
-// boundaries, so every returned key carries all its in-run versions and the
-// enclave can rebuild whole Merkle leaves from the chunk.
-func (s *Store) ScanRunChunk(runID uint64, start, end []byte, maxKeys int) (RunScan, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return RunScan{}, ErrClosed
-	}
-	r, err := s.findRunLocked(runID)
-	if err != nil {
-		return RunScan{}, err
-	}
-	return scanRunChunk(r, start, end, maxKeys)
 }
 
 // scanRunChunk is the untrusted side of a one-level SCAN over an immutable
@@ -180,16 +143,6 @@ func scanRunChunk(r *run, start, end []byte, maxKeys int) (RunScan, error) {
 	return out, nil
 }
 
-// MemScan returns the newest version ≤ tsq of every key in [start, end]
-// from the (trusted) memtables — the active table merged with the frozen
-// one mid-flush — including tombstones.
-func (s *Store) MemScan(start, end []byte, tsq uint64) []record.Record {
-	s.mu.RLock()
-	mem, frozen := s.mem, s.frozen
-	s.mu.RUnlock()
-	return memScanTables(mem, frozen, start, end, tsq)
-}
-
 // WarmCache streams every data block of every run through the block source
 // once, populating the read buffer to steady state. The paper's experiments
 // scan the loaded dataset before measuring "so that it is loaded in the
@@ -212,38 +165,4 @@ func (s *Store) WarmCache() error {
 		}
 	}
 	return nil
-}
-
-// Scan is the raw (unverified) merged range query used by the unsecured
-// baseline: newest version ≤ tsq per key in [start, end], tombstones
-// resolved.
-func (s *Store) Scan(start, end []byte, tsq uint64) ([]record.Record, error) {
-	out, _, _, err := s.ScanChunk(start, end, tsq, 0)
-	return out, err
-}
-
-// ScanChunk is Scan bounded to at most maxKeys distinct keys (0 =
-// unlimited), the raw engine half of a streaming range read. It returns the
-// resolved records, the cursor to resume from (the first unprocessed key)
-// and whether the range was exhausted. Keys whose newest version ≤ tsq is a
-// tombstone count toward the limit but produce no record, so a chunk may be
-// smaller than maxKeys — or empty — without being the last.
-func (s *Store) ScanChunk(start, end []byte, tsq uint64, maxKeys int) (out []record.Record, next []byte, done bool, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, nil, false, ErrClosed
-	}
-	sources := []mergeSource{{runID: MemtableRunID, iter: s.mem.Iter()}}
-	if s.frozen != nil {
-		sources = append(sources, mergeSource{runID: MemtableRunID, iter: s.frozen.Iter()})
-	}
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for _, r := range s.levels[lvl] {
-			if len(r.tables) > 0 {
-				sources = append(sources, mergeSource{runID: r.id, iter: newRunIter(r)})
-			}
-		}
-	}
-	return scanChunkSources(sources, start, end, tsq, maxKeys)
 }

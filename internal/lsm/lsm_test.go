@@ -35,6 +35,22 @@ func mustOpen(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// snapGet is a point read through a one-shot snapshot, the engine's only
+// read surface.
+func snapGet(s *Store, key []byte, tsq uint64) (record.Record, bool, error) {
+	sn := s.AcquireEphemeralSnapshot()
+	defer sn.Release()
+	return sn.Get(key, tsq)
+}
+
+// snapScan is an unbounded range read through a one-shot snapshot.
+func snapScan(s *Store, start, end []byte, tsq uint64) ([]record.Record, error) {
+	sn := s.AcquireEphemeralSnapshot()
+	defer sn.Release()
+	out, _, _, err := sn.ScanChunk(start, end, tsq, 0)
+	return out, err
+}
+
 func TestPutGetBasic(t *testing.T) {
 	s := mustOpen(t, smallOpts(nil))
 	defer s.Close()
@@ -42,11 +58,11 @@ func TestPutGetBasic(t *testing.T) {
 	if err != nil || ts == 0 {
 		t.Fatalf("put: ts=%d err=%v", ts, err)
 	}
-	rec, ok, err := s.Get([]byte("hello"), record.MaxTs)
+	rec, ok, err := snapGet(s, []byte("hello"), record.MaxTs)
 	if err != nil || !ok || string(rec.Value) != "world" {
 		t.Fatalf("get = %q %v %v", rec.Value, ok, err)
 	}
-	if _, ok, _ := s.Get([]byte("absent"), record.MaxTs); ok {
+	if _, ok, _ := snapGet(s, []byte("absent"), record.MaxTs); ok {
 		t.Fatal("found absent key")
 	}
 }
@@ -59,11 +75,11 @@ func TestOverwriteAndTimestamps(t *testing.T) {
 	if ts2 <= ts1 {
 		t.Fatalf("timestamps not monotonic: %d then %d", ts1, ts2)
 	}
-	rec, _, _ := s.Get([]byte("k"), record.MaxTs)
+	rec, _, _ := snapGet(s, []byte("k"), record.MaxTs)
 	if string(rec.Value) != "v2" {
 		t.Fatalf("latest = %q", rec.Value)
 	}
-	old, ok, _ := s.Get([]byte("k"), ts1)
+	old, ok, _ := snapGet(s, []byte("k"), ts1)
 	if !ok || string(old.Value) != "v1" {
 		t.Fatalf("historical = %q %v", old.Value, ok)
 	}
@@ -74,7 +90,7 @@ func TestDeleteTombstone(t *testing.T) {
 	defer s.Close()
 	s.Put([]byte("k"), []byte("v"))
 	s.Delete([]byte("k"))
-	rec, ok, _ := s.Get([]byte("k"), record.MaxTs)
+	rec, ok, _ := snapGet(s, []byte("k"), record.MaxTs)
 	if !ok || rec.Kind != record.KindDelete {
 		t.Fatalf("tombstone not surfaced: %v %v", rec.Kind, ok)
 	}
@@ -107,7 +123,7 @@ func TestFlushAndCompactionPreserveData(t *testing.T) {
 		t.Fatal("no compaction happened despite tiny levels")
 	}
 	for key, want := range latest {
-		rec, ok, err := s.Get([]byte(key), record.MaxTs)
+		rec, ok, err := snapGet(s, []byte(key), record.MaxTs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,13 +151,10 @@ func TestLemma54LevelOrdering(t *testing.T) {
 	// Walk runs newest-first; per key the maximum ts seen so far must
 	// strictly decrease across runs.
 	maxSeen := map[string]uint64{}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, ref := range s.runsLocked() {
-		r, err := s.findRunLocked(ref.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
+	sn := s.AcquireSnapshot()
+	defer sn.Release()
+	for _, sr := range sn.runs {
+		r := sr.r
 		perRunMax := map[string]uint64{}
 		for _, th := range r.tables {
 			it := th.table.Iter()
@@ -174,7 +187,7 @@ func TestTombstoneDroppedAtBottom(t *testing.T) {
 	}
 	// The flush output is the bottom-most data: tombstone and shadowed
 	// version must both be gone.
-	if _, ok, _ := s.Get([]byte("doomed"), record.MaxTs); ok {
+	if _, ok, _ := snapGet(s, []byte("doomed"), record.MaxTs); ok {
 		t.Fatal("tombstone or shadowed version survived bottom-most flush")
 	}
 	if s.Stats().RecordsDropped < 2 {
@@ -200,7 +213,7 @@ func TestKeepVersionsPolicy(t *testing.T) {
 			// Count surviving versions via historical gets.
 			surviving := 0
 			for _, ts := range tss {
-				if rec, ok, _ := s.Get([]byte("k"), ts); ok && rec.Ts == ts {
+				if rec, ok, _ := snapGet(s, []byte("k"), ts); ok && rec.Ts == ts {
 					surviving++
 				}
 			}
@@ -222,7 +235,7 @@ func TestScanMerged(t *testing.T) {
 		s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
 	s.Delete([]byte("key0150"))
-	recs, err := s.Scan([]byte("key0100"), []byte("key0199"), record.MaxTs)
+	recs, err := snapScan(s, []byte("key0100"), []byte("key0199"), record.MaxTs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +267,7 @@ func TestRecovery(t *testing.T) {
 		t.Fatalf("timestamp went backwards: %d -> %d", lastTs, s2.LastTs())
 	}
 	for key, want := range latest {
-		rec, ok, err := s2.Get([]byte(key), record.MaxTs)
+		rec, ok, err := snapGet(s2, []byte(key), record.MaxTs)
 		if err != nil || !ok || string(rec.Value) != want {
 			t.Fatalf("after recovery, key %q: %q %v %v", key, rec.Value, ok, err)
 		}
@@ -274,10 +287,10 @@ func TestWALReplayPopulatesMemtable(t *testing.T) {
 
 	s2 := mustOpen(t, smallOpts(fs))
 	defer s2.Close()
-	if s2.MemCount() == 0 {
+	if s2.mem.Count() == 0 {
 		t.Fatal("memtable empty after WAL replay")
 	}
-	rec, ok, _ := s2.Get([]byte("inmem"), record.MaxTs)
+	rec, ok, _ := snapGet(s2, []byte("inmem"), record.MaxTs)
 	if !ok || string(rec.Value) != "v1" {
 		t.Fatalf("replayed value = %q %v", rec.Value, ok)
 	}
@@ -326,7 +339,7 @@ func TestBulkLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 1, 2499, 4999} {
-		rec, ok, err := s.Get(recs[i].Key, record.MaxTs)
+		rec, ok, err := snapGet(s, recs[i].Key, record.MaxTs)
 		if err != nil || !ok || !bytes.Equal(rec.Value, recs[i].Value) {
 			t.Fatalf("bulk-loaded key %d: %v %v", i, ok, err)
 		}
@@ -373,7 +386,7 @@ func TestDisableCompactionAccumulatesRuns(t *testing.T) {
 		t.Fatal("compaction ran while disabled")
 	}
 	// Reads still resolve to the newest version across runs.
-	rec, ok, _ := s.Get([]byte("key000001"), record.MaxTs)
+	rec, ok, _ := snapGet(s, []byte("key000001"), record.MaxTs)
 	_ = rec
 	_ = ok
 }
@@ -397,15 +410,16 @@ func TestLookupRunMembershipAndBrackets(t *testing.T) {
 	if len(runs) != 1 {
 		t.Fatalf("runs = %d", len(runs))
 	}
-	id := runs[0].ID
+	sn := s.AcquireSnapshot()
+	defer sn.Release()
 
 	// Present key.
-	lk, err := s.LookupRun(id, []byte("key0100"), record.MaxTs)
+	lk, err := sn.LookupRun(0, []byte("key0100"), record.MaxTs)
 	if err != nil || !lk.Found || string(lk.Rec.Key) != "key0100" {
 		t.Fatalf("membership lookup: %+v err=%v", lk, err)
 	}
 	// Absent key between two present ones.
-	lk, err = s.LookupRun(id, []byte("key0101"), record.MaxTs)
+	lk, err = sn.LookupRun(0, []byte("key0101"), record.MaxTs)
 	if err != nil || lk.Found {
 		t.Fatalf("non-membership lookup found something: %+v", lk)
 	}
@@ -416,12 +430,12 @@ func TestLookupRunMembershipAndBrackets(t *testing.T) {
 		t.Fatalf("succ = %v", lk.Succ)
 	}
 	// Before the first key.
-	lk, _ = s.LookupRun(id, []byte("a"), record.MaxTs)
+	lk, _ = sn.LookupRun(0, []byte("a"), record.MaxTs)
 	if lk.Found || lk.Pred != nil || lk.Succ == nil || string(lk.Succ.Key) != "key0000" {
 		t.Fatalf("before-first lookup: %+v", lk)
 	}
 	// After the last key.
-	lk, _ = s.LookupRun(id, []byte("z"), record.MaxTs)
+	lk, _ = sn.LookupRun(0, []byte("z"), record.MaxTs)
 	if lk.Found || lk.Succ != nil || lk.Pred == nil || string(lk.Pred.Key) != "key1998" {
 		t.Fatalf("after-last lookup: %+v", lk)
 	}
@@ -442,8 +456,9 @@ func TestScanRunBrackets(t *testing.T) {
 	if err := s.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}
-	id := s.Runs()[0].ID
-	rs, err := s.ScanRun(id, []byte("key0100"), []byte("key0110"))
+	sn := s.AcquireSnapshot()
+	defer sn.Release()
+	rs, err := sn.ScanRunChunk(0, []byte("key0100"), []byte("key0110"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +472,7 @@ func TestScanRunBrackets(t *testing.T) {
 		t.Fatalf("succ = %v", rs.Succ)
 	}
 	// Range beyond the end: no records, pred = last.
-	rs, err = s.ScanRun(id, []byte("z"), []byte("zz"))
+	rs, err = sn.ScanRunChunk(0, []byte("z"), []byte("zz"), 0)
 	if err != nil || len(rs.Records) != 0 || rs.Pred == nil {
 		t.Fatalf("tail scan: %+v err=%v", rs, err)
 	}
@@ -488,7 +503,7 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 				default:
 				}
 				key := []byte(fmt.Sprintf("key%04d", rnd.Intn(200)))
-				if _, _, err := s.Get(key, record.MaxTs); err != nil {
+				if _, _, err := snapGet(s, key, record.MaxTs); err != nil {
 					t.Errorf("concurrent get: %v", err)
 					return
 				}
@@ -505,7 +520,7 @@ func TestMmapReadPath(t *testing.T) {
 	defer s.Close()
 	latest := putMany(t, s, 2000, 32)
 	for key, want := range latest {
-		rec, ok, err := s.Get([]byte(key), record.MaxTs)
+		rec, ok, err := snapGet(s, []byte(key), record.MaxTs)
 		if err != nil || !ok || string(rec.Value) != want {
 			t.Fatalf("mmap get %q: %q %v %v", key, rec.Value, ok, err)
 		}

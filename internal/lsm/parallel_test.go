@@ -190,7 +190,7 @@ func TestParallelJobsDisjointAndInstallsSerialized(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		for _, i := range []int{1, perWriter / 2, perWriter - 1} {
 			key := fmt.Sprintf("w%d-key%05d", w, i)
-			rec, ok, err := s.Get([]byte(key), record.MaxTs)
+			rec, ok, err := snapGet(s, []byte(key), record.MaxTs)
 			if err != nil || !ok || string(rec.Value) != fmt.Sprintf("val%05d", i) {
 				t.Fatalf("key %s: ok=%v err=%v val=%q", key, ok, err, rec.Value)
 			}
@@ -230,7 +230,7 @@ func TestParallelMatchesSerialScans(t *testing.T) {
 		if err := s.WaitMaintenance(); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := s.Scan([]byte("key"), []byte("kez"), record.MaxTs)
+		recs, err := snapScan(s, []byte("key"), []byte("kez"), record.MaxTs)
 		if err != nil {
 			t.Fatal(err)
 		}

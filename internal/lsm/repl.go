@@ -209,19 +209,7 @@ func (s *Store) CaptureCheckpoint(capture func() error) (*CheckpointSource, erro
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("lsm: background maintenance failed: %w", err)
 	}
-	// Inline snapshot acquisition: acquireSnapshot takes mu.RLock itself
-	// and read locks are not re-entrant under writer pressure.
-	snap := &Snapshot{s: s}
-	snap.ts = s.appliedTs.Load()
-	snap.mem = s.mem
-	snap.frozen = s.frozen
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for idx, r := range s.levels[lvl] {
-			snap.refs = append(snap.refs, RunRef{ID: r.id, Level: lvl, Index: idx})
-			s.retainRunLocked(r)
-			snap.runs = append(snap.runs, r)
-		}
-	}
+	snap := s.acquireSnapshotLocked(false)
 	src := &CheckpointSource{Snap: snap}
 	names := s.liveWALFiles()
 	var rerr error
@@ -287,8 +275,9 @@ type CheckpointRun struct {
 // inventory an importer needs to reconstruct the version.
 func (sn *Snapshot) CheckpointRuns() []CheckpointRun {
 	out := make([]CheckpointRun, 0, len(sn.runs))
-	for i, r := range sn.runs {
-		cr := CheckpointRun{ID: r.id, Level: sn.refs[i].Level, Bytes: r.bytes, Entries: r.entries}
+	for _, sr := range sn.runs {
+		r := sr.r
+		cr := CheckpointRun{ID: r.id, Level: sr.level, Bytes: r.bytes, Entries: r.entries}
 		for _, th := range r.tables {
 			cr.Tables = append(cr.Tables, CheckpointTable{
 				FileNum: th.meta.FileNum,
@@ -314,8 +303,8 @@ func (sn *Snapshot) EncodeManifest(lastTs uint64) ([]byte, error) {
 		LastTs:      lastTs,
 		Levels:      make([][]manifestRun, len(sn.s.levels)),
 	}
-	for i, r := range sn.runs {
-		lvl := sn.refs[i].Level
+	for _, sr := range sn.runs {
+		r, lvl := sr.r, sr.level
 		mr := manifestRun{ID: r.id, Nbytes: r.bytes}
 		if r.id >= root.NextRunID {
 			root.NextRunID = r.id + 1
@@ -345,10 +334,11 @@ func (sn *Snapshot) EncodeManifest(lastTs uint64) ([]byte, error) {
 // descending. The importer rebuilds the run's Merkle digest from this
 // stream and compares it against the attested frontier.
 func (sn *Snapshot) RunRecords(i int, fn func(record.Record) error) error {
-	if i < 0 || i >= len(sn.runs) {
-		return ErrUnknownRun
+	r, err := sn.pinned(i)
+	if err != nil {
+		return err
 	}
-	it := newRunIter(sn.runs[i])
+	it := newRunIter(r)
 	defer it.Close()
 	for ; it.Valid(); it.Next() {
 		if err := fn(it.Record()); err != nil {

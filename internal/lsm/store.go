@@ -72,7 +72,7 @@ type tableHandle struct {
 // run is one immutable sorted run of tables (non-overlapping, key-ordered).
 // refs counts reasons the run's files must stay on disk: membership in the
 // current version holds one reference, and every pin (a compaction reading
-// it as input, a verified iterator scanning it) holds another. Files are
+// it as input, a snapshot reading it) holds another. Files are
 // deleted only when the count reaches zero, so an in-flight read never races
 // a compaction deleting its inputs.
 type run struct {
@@ -203,7 +203,7 @@ type Store struct {
 	// concurrent job's install. Acquired BEFORE s.mu.
 	installMu sync.Mutex
 
-	mu     sync.RWMutex    // guards mem, frozen, levels, retired, bgErr
+	mu     sync.RWMutex    // guards mem, frozen, levels, bgErr
 	mem    *memtable.Table // active write buffer
 	frozen *memtable.Table // immutable predecessor being flushed (nil: none)
 	walW   *wal.Writer
@@ -213,11 +213,6 @@ type Store struct {
 	// job fails, or the store closes — the wake-ups a stalled writer or a
 	// synchronous Flush waits for.
 	flushDone *sync.Cond
-
-	// retired holds runs removed from the version but still pinned (an
-	// iterator or compaction holds a reference); findRunLocked resolves
-	// them so snapshot reads keep verifying against replaced runs.
-	retired map[uint64]*run
 
 	// frozenWALs are rotated log files carrying the frozen memtable's (and,
 	// after recovery, any predecessor's) records; deleted at flush install.
@@ -318,7 +313,6 @@ func Open(opts Options) (*Store, error) {
 		listener:  opts.Listener,
 		mem:       memtable.New(opts.Enclave),
 		levels:    make([][]*run, opts.MaxLevels+1),
-		retired:   make(map[uint64]*run),
 		files:     make(map[uint64]*openFile),
 		nextRunID: 1,
 	}
@@ -715,13 +709,6 @@ func (s *Store) walErrLocked() error {
 	return fmt.Errorf("%w (reopen to recover): %w", ErrWALSyncFailed, s.walErr)
 }
 
-// WALErr reports the sticky WAL fsync failure, if any.
-func (s *Store) WALErr() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.walErrLocked()
-}
-
 // WALReplayDigest returns the digest chain recomputed during recovery and
 // the number of replayed records; the authentication layer compares it with
 // its sealed trusted digest.
@@ -845,38 +832,24 @@ func (s *Store) retainRunLocked(r *run) {
 	s.pinnedRuns.Add(1)
 }
 
-// releaseRun drops one reference; at zero the run's files are deleted. The
-// zero re-check under the write lock closes the resurrection race: a reader
-// that re-pins a retired run under mu.RLock either increments before the
-// releaser's check (which then sees refs > 0 and leaves the run alone) or
-// cannot find the run at all because it was already unlinked.
+// releaseRun drops one reference; at zero the run's files are deleted.
+// Every pin is taken under s.mu on a run still in s.levels, whose version
+// reference keeps refs ≥ 1, so once a retired run's count reaches zero
+// nothing can raise it again.
 func (s *Store) releaseRun(r *run) {
 	s.pinnedRuns.Add(-1)
-	if r.refs.Add(-1) > 0 {
-		return
+	if r.refs.Add(-1) == 0 {
+		s.removeFiles(r.fileNums())
 	}
-	s.mu.Lock()
-	if r.refs.Load() > 0 {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.retired, r.id)
-	s.mu.Unlock()
-	s.removeFiles(r.fileNums())
 }
 
-// retireRunsLocked removes runs from the version: they move to the retired
-// registry (still resolvable by pinned readers) and lose their version
-// reference outside the lock. Caller holds s.mu and must drop the version
-// reference — releaseRunRefs — after releasing it.
+// retireRunsLocked marks runs removed from the version: from here until
+// the caller drops their version reference (releaseRunRefs, after
+// releasing s.mu), that reference counts in pinnedRuns, keeping the gauge's
+// invariant (refs beyond live version membership) intact. Caller holds
+// s.mu.
 func (s *Store) retireRunsLocked(runs []*run) {
-	for _, r := range runs {
-		s.retired[r.id] = r
-		// The version reference is accounted in pinnedRuns from here until
-		// it is dropped, keeping the gauge's invariant (refs beyond live
-		// version membership) intact.
-		s.pinnedRuns.Add(1)
-	}
+	s.pinnedRuns.Add(int64(len(runs)))
 }
 
 // releaseRunRefs drops n references from each run (deleting files at
@@ -889,70 +862,6 @@ func (s *Store) releaseRunRefs(runs []*run, n int) {
 			s.releaseRun(r)
 		}
 	}
-}
-
-// SnapshotRuns returns the current version's runs in read order (newest
-// data first), pinned, with a release function — one lock acquisition for
-// both the enumeration and the pins, so the snapshot can never race an
-// install in between. Verified readers walk this snapshot: a compaction
-// installing mid-read retires the runs but cannot delete their files or
-// their lookup addressability until the release. The release function must
-// be called exactly once (calling it again is a no-op).
-func (s *Store) SnapshotRuns() ([]RunRef, func()) {
-	s.mu.RLock()
-	var refs []RunRef
-	var pinned []*run
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for idx, r := range s.levels[lvl] {
-			refs = append(refs, RunRef{ID: r.id, Level: lvl, Index: idx})
-			s.retainRunLocked(r)
-			pinned = append(pinned, r)
-		}
-	}
-	s.mu.RUnlock()
-	return refs, s.releaseOnce(pinned)
-}
-
-// PinRuns takes references on the listed runs so their files survive
-// concurrent compactions; runs already fully deleted are skipped (the
-// caller's subsequent lookup fails and retries against a fresh snapshot).
-// The returned release function must be called exactly once.
-func (s *Store) PinRuns(ids []uint64) (release func()) {
-	s.mu.RLock()
-	pinned := make([]*run, 0, len(ids))
-	for _, id := range ids {
-		if r := s.lookupRunByIDLocked(id); r != nil {
-			s.retainRunLocked(r)
-			pinned = append(pinned, r)
-		}
-	}
-	s.mu.RUnlock()
-	return s.releaseOnce(pinned)
-}
-
-// releaseOnce wraps dropping a pin set in an idempotent closure.
-func (s *Store) releaseOnce(pinned []*run) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			for _, r := range pinned {
-				s.releaseRun(r)
-			}
-		})
-	}
-}
-
-// lookupRunByIDLocked resolves a run by ID in the live version or the
-// retired-but-pinned registry. Caller holds s.mu.
-func (s *Store) lookupRunByIDLocked(id uint64) *run {
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for _, r := range s.levels[lvl] {
-			if r.id == id {
-				return r
-			}
-		}
-	}
-	return s.retired[id]
 }
 
 // ---------------------------------------------------------------------------
@@ -1113,39 +1022,7 @@ func (s *Store) overflowingLevels() []int {
 }
 
 // ---------------------------------------------------------------------------
-// Reads (raw, unverified — the unsecured baseline path; the eLSM layer
-// drives the per-run lookup API in lookup.go instead)
-
-// Get returns the newest record of key with Ts ≤ tsq. Tombstones are
-// returned as-is (callers interpret Kind). The boolean reports whether any
-// version was found.
-func (s *Store) Get(key []byte, tsq uint64) (record.Record, bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return record.Record{}, false, ErrClosed
-	}
-	if rec, ok := s.mem.Get(key, tsq); ok {
-		return rec, true, nil
-	}
-	if s.frozen != nil {
-		if rec, ok := s.frozen.Get(key, tsq); ok {
-			return rec, true, nil
-		}
-	}
-	for lvl := 1; lvl < len(s.levels); lvl++ {
-		for _, r := range s.levels[lvl] {
-			rec, ok, err := runGet(r, key, tsq)
-			if err != nil {
-				return record.Record{}, false, err
-			}
-			if ok {
-				return rec, true, nil
-			}
-		}
-	}
-	return record.Record{}, false, nil
-}
+// Run search (the snapshot read path, snapshot.go)
 
 // runGet searches one immutable run (lock-free for reachable runs).
 func runGet(r *run, key []byte, tsq uint64) (record.Record, bool, error) {
@@ -1180,10 +1057,6 @@ func seekTable(tables []*tableHandle, key []byte, ts uint64) int {
 func (s *Store) Runs() []RunRef {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.runsLocked()
-}
-
-func (s *Store) runsLocked() []RunRef {
 	var out []RunRef
 	for lvl := 1; lvl < len(s.levels); lvl++ {
 		for idx, r := range s.levels[lvl] {
@@ -1191,41 +1064,6 @@ func (s *Store) runsLocked() []RunRef {
 		}
 	}
 	return out
-}
-
-// findRun locates a run by ID — in the live version or, for pinned
-// snapshot readers, among retired runs awaiting deletion. Caller holds
-// s.mu.
-func (s *Store) findRunLocked(id uint64) (*run, error) {
-	if r := s.lookupRunByIDLocked(id); r != nil {
-		return r, nil
-	}
-	return nil, fmt.Errorf("%w: %d", ErrUnknownRun, id)
-}
-
-// MemGet reads the (trusted, in-enclave) memtables: the active table first,
-// then the frozen one (its records are strictly older).
-func (s *Store) MemGet(key []byte, tsq uint64) (record.Record, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if rec, ok := s.mem.Get(key, tsq); ok {
-		return rec, true
-	}
-	if s.frozen != nil {
-		return s.frozen.Get(key, tsq)
-	}
-	return record.Record{}, false
-}
-
-// MemCount returns the number of buffered entries (active + frozen).
-func (s *Store) MemCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := s.mem.Count()
-	if s.frozen != nil {
-		n += s.frozen.Count()
-	}
-	return n
 }
 
 // LastTs returns the most recently assigned timestamp. With the pipelined
@@ -1293,9 +1131,6 @@ func (s *Store) Stats() Stats {
 
 // Enclave exposes the simulated enclave (for the authentication layer).
 func (s *Store) Enclave() *sgx.Enclave { return s.enclave }
-
-// NumLevels returns the configured maximum level count.
-func (s *Store) NumLevels() int { return s.opts.MaxLevels }
 
 // DiskBytes returns the total bytes across all on-disk runs.
 func (s *Store) DiskBytes() int64 {

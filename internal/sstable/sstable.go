@@ -512,15 +512,6 @@ func (t *Table) SeekWithPrev(key []byte, ts uint64) (prev, cur *record.Record, e
 	return prev, cur, nil
 }
 
-// First returns the table's first record.
-func (t *Table) First() (record.Record, error) {
-	recs, err := t.readBlock(0)
-	if err != nil {
-		return record.Record{}, err
-	}
-	return recs[0], nil
-}
-
 // Last returns the table's last record.
 func (t *Table) Last() (record.Record, error) {
 	recs, err := t.readBlock(len(t.index) - 1)

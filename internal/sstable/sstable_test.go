@@ -202,9 +202,13 @@ func TestSeekWithPrev(t *testing.T) {
 func TestFirstLast(t *testing.T) {
 	recs := seqRecords(77, 1)
 	tbl, _, _ := buildTable(t, recs, nil)
-	first, err := tbl.First()
-	if err != nil || string(first.Key) != "key00000" {
-		t.Fatalf("first = %q err=%v", first.Key, err)
+	it := tbl.Iter()
+	it.SeekGE(nil, record.MaxTs)
+	if !it.Valid() || string(it.Record().Key) != "key00000" {
+		t.Fatalf("first record missing or wrong")
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
 	}
 	last, err := tbl.Last()
 	if err != nil || string(last.Key) != "key00076" {

@@ -417,6 +417,55 @@ func TestCtxCancelMidIterator(t *testing.T) {
 	}
 }
 
+// TestCtxCancelMidMemtableIterator is the deterministic form of
+// TestCtxCancelMidIterator: every row stays in the memtable (nothing
+// flushes), so no background flush can split the range into run-sized
+// chunks. The memtable's share of a chunk must still be bounded by
+// IterChunkKeys — a cancel after row 20 stops the stream within the one
+// chunk per shard already delivered — in every mode, sharded or not.
+func TestCtxCancelMidMemtableIterator(t *testing.T) {
+	const rows, chunkKeys, cancelAt = 200, 8, 20
+	for _, shards := range []int{1, 4} {
+		for _, mode := range []Mode{ModeP2, ModeP1, ModeUnsecured} {
+			t.Run(fmt.Sprintf("%v/shards=%d", mode, shards), func(t *testing.T) {
+				opts := shardedOptions(mode, shards)
+				opts.MemtableSize = 1 << 20
+				opts.IterChunkKeys = chunkKeys
+				s, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				for i := 0; i < rows; i++ {
+					if _, err := s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if st := s.Stats(); st.Flushes != 0 {
+					t.Fatalf("%d flushes ran; the rows must stay in the memtable", st.Flushes)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				it := s.IterCtx(ctx, []byte("a"), []byte("z"))
+				n := 0
+				for it.Next() {
+					n++
+					if n == cancelAt {
+						cancel()
+					}
+				}
+				if limit := cancelAt + chunkKeys*shards; n > limit {
+					t.Fatalf("%d rows streamed after a cancel at row %d (limit %d): a chunk held more than %d memtable keys",
+						n, cancelAt, limit, chunkKeys)
+				}
+				if err := it.Close(); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled iterator Close = %v, want context.Canceled", err)
+				}
+			})
+		}
+	}
+}
+
 // TestCtxCancellationRaceStress hammers the two cancellation paths under
 // the race detector: concurrent writers with randomly-cancelled commit
 // contexts and concurrent readers with randomly-cancelled iterators, over

@@ -113,7 +113,8 @@ type engined interface {
 	Engine() *lsm.Store
 }
 
-// enclaved is implemented by the enclave-hosted variants.
+// enclaved is implemented by every store variant; the unsecured baseline
+// returns a nil enclave.
 type enclaved interface {
 	Enclave() *sgx.Enclave
 }
@@ -147,7 +148,7 @@ func statsOf(kv core.KV) Stats {
 		out.GroupCommitWindowNanos = es.GroupCommitWindowNanos
 		out.FsyncEWMANanos = es.FsyncEWMANanos
 	}
-	if e, ok := kv.(enclaved); ok {
+	if e, ok := kv.(enclaved); ok && e.Enclave() != nil {
 		st := e.Enclave().Stats()
 		out.PageFaults = st.PageFaults
 		out.ECalls = st.ECalls
