@@ -46,6 +46,16 @@ func TestChargeMultiplies(t *testing.T) {
 	Charge(time.Millisecond, 0) // no-op
 }
 
+func TestCalibrationKeepsFastestTrial(t *testing.T) {
+	// The middle trial was preempted and ran at a tenth of the speed.
+	if got := fastestRate([]int64{980, 98, 1000}); got != 1000 {
+		t.Fatalf("fastestRate = %d, want 1000", got)
+	}
+	if got := fastestRate([]int64{0, -5}); got != 1 {
+		t.Fatalf("fastestRate of degenerate trials = %d, want 1", got)
+	}
+}
+
 func TestChargeBytesRounding(t *testing.T) {
 	// 1 byte rounds up to 1 KiB; just ensure no panic and fast return at
 	// tiny rates.

@@ -19,6 +19,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -294,10 +295,14 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 	if binary.BigEndian.Uint64(ft[40:48]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadTable)
 	}
-	filterOff := int64(binary.BigEndian.Uint64(ft[0:8]))
-	filterLen := int64(binary.BigEndian.Uint64(ft[8:16]))
-	indexOff := int64(binary.BigEndian.Uint64(ft[16:24]))
-	indexLen := int64(binary.BigEndian.Uint64(ft[24:32]))
+	filterOff, filterLen, ok := extent(ft[0:16], size-footerLen)
+	if !ok {
+		return nil, fmt.Errorf("%w: filter block out of bounds", ErrBadTable)
+	}
+	indexOff, indexLen, ok := extent(ft[16:32], size-footerLen)
+	if !ok {
+		return nil, fmt.Errorf("%w: index block out of bounds", ErrBadTable)
+	}
 	numEntries := int(binary.BigEndian.Uint64(ft[32:40]))
 
 	ib := make([]byte, indexLen)
@@ -311,18 +316,16 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 	n := int(binary.BigEndian.Uint32(ib[:4]))
 	p := 4
 	for i := 0; i < n; i++ {
-		klen, w := binary.Uvarint(ib[p:])
-		if w <= 0 || p+w+int(klen)+24 > len(ib) {
+		key, q, ok := lenPrefixed(ib, p)
+		if !ok || len(ib)-q < 24 {
 			return nil, fmt.Errorf("%w: corrupt index entry %d", ErrBadTable, i)
 		}
-		p += w
-		var e indexEntry
-		e.lastKey = append([]byte(nil), ib[p:p+int(klen)]...)
-		p += int(klen)
-		e.lastTs = binary.BigEndian.Uint64(ib[p : p+8])
-		e.off = int64(binary.BigEndian.Uint64(ib[p+8 : p+16]))
-		e.length = int64(binary.BigEndian.Uint64(ib[p+16 : p+24]))
-		p += 24
+		e := indexEntry{lastKey: append([]byte(nil), key...), lastTs: binary.BigEndian.Uint64(ib[q : q+8])}
+		// Data blocks lie before the filter block.
+		if e.off, e.length, ok = extent(ib[q+8:q+24], filterOff); !ok {
+			return nil, fmt.Errorf("%w: index entry %d out of bounds", ErrBadTable, i)
+		}
+		p = q + 24
 		t.index = append(t.index, e)
 	}
 
@@ -347,10 +350,24 @@ func Open(f vfs.File, fileNum uint64, source BlockSource) (*Table, error) {
 		t.filters = append(t.filters, bloom.Filter(fb[p:p+flen]))
 		p += flen
 	}
+	if len(t.index) == 0 {
+		return nil, fmt.Errorf("%w: no data blocks", ErrBadTable)
+	}
 	if len(t.filters) != len(t.index) {
 		return nil, fmt.Errorf("%w: %d filters for %d blocks", ErrBadTable, len(t.filters), len(t.index))
 	}
 	return t, nil
+}
+
+// extent decodes the big-endian offset and length in b[0:16] and reports
+// whether they frame bytes inside [0, limit). Both are checked as uint64
+// before conversion, so hostile values cannot wrap negative.
+func extent(b []byte, limit int64) (off, length int64, ok bool) {
+	o, l := binary.BigEndian.Uint64(b[0:8]), binary.BigEndian.Uint64(b[8:16])
+	if l > uint64(limit) || o > uint64(limit)-l {
+		return 0, 0, false
+	}
+	return int64(o), int64(l), true
 }
 
 // NumEntries returns the number of records in the table.
@@ -389,87 +406,106 @@ func (t *Table) seekBlock(key []byte, ts uint64) int {
 	return lo
 }
 
-// DecodeBlock parses all records in a block payload.
-func DecodeBlock(data []byte) ([]record.Record, error) {
-	var out []record.Record
-	p := 0
-	for p < len(data) {
-		rec, n, err := decodeRecordAt(data, p)
+// frame is one record as framed in a data block. Its key, value and proof
+// are borrowed from the block's bytes, which in the mmap and buffered read
+// paths are untrusted memory the host can rewrite at any time. A frame
+// therefore never leaves this package: callers get own's private copy.
+type frame struct {
+	kind              record.Kind
+	ts                uint64
+	key, value, proof []byte
+}
+
+// parseFrame parses the record framed at data[off:] in place. It returns
+// the frame, borrowing from data, and the frame's length in bytes.
+func parseFrame(data []byte, off int) (frame, int, error) {
+	var f frame
+	if off >= len(data) {
+		return f, 0, fmt.Errorf("%w: truncated record", ErrBadTable)
+	}
+	f.kind = record.Kind(data[off])
+	key, p, ok := lenPrefixed(data, off+1)
+	if !ok || len(data)-p < 8 {
+		return f, 0, fmt.Errorf("%w: bad key frame", ErrBadTable)
+	}
+	f.key = key
+	f.ts = binary.BigEndian.Uint64(data[p : p+8])
+	if f.value, p, ok = lenPrefixed(data, p+8); !ok {
+		return f, 0, fmt.Errorf("%w: bad value frame", ErrBadTable)
+	}
+	if f.proof, p, ok = lenPrefixed(data, p); !ok {
+		return f, 0, fmt.Errorf("%w: bad proof frame", ErrBadTable)
+	}
+	return f, p - off, nil
+}
+
+// lenPrefixed reads the uvarint length at data[p:] and returns the
+// capacity-limited bytes it frames and the offset just past them. The length
+// is checked as a uint64 before conversion, so a hostile value cannot wrap
+// to a negative int and slip past the bounds check.
+func lenPrefixed(data []byte, p int) ([]byte, int, bool) {
+	n, w := binary.Uvarint(data[p:])
+	if w <= 0 || n > uint64(len(data)-p-w) {
+		return nil, 0, false
+	}
+	p += w
+	end := p + int(n)
+	return data[p:end:end], end, true
+}
+
+// own copies f into one private allocation. The record's key, value and
+// proof are capacity-limited sub-slices of it, so appending to one cannot
+// overwrite another.
+func (f frame) own() record.Record {
+	buf := make([]byte, len(f.key)+len(f.value)+len(f.proof))
+	k := copy(buf, f.key)
+	v := k + copy(buf[k:], f.value)
+	copy(buf[v:], f.proof)
+	return record.Record{Kind: f.kind, Ts: f.ts, Key: buf[:k:k], Value: buf[k:v:v], Proof: buf[v:]}
+}
+
+// seekFrame walks data's frames in place to the first one at or after
+// (key, ts) in record order. It returns that frame and its offset, which is
+// len(data) when every frame sorts before (key, ts), and the offset of the
+// frame before it, or -1 if there is none.
+func seekFrame(data, key []byte, ts uint64) (cur frame, off, prevOff int, err error) {
+	prevOff = -1
+	for off < len(data) {
+		f, n, err := parseFrame(data, off)
 		if err != nil {
-			return nil, err
+			return frame{}, 0, 0, err
 		}
-		out = append(out, rec)
-		p += n
+		if record.Compare(f.key, f.ts, key, ts) >= 0 {
+			return f, off, prevOff, nil
+		}
+		prevOff, off = off, off+n
 	}
-	return out, nil
+	return frame{}, off, prevOff, nil
 }
 
-func decodeRecordAt(data []byte, p int) (record.Record, int, error) {
-	start := p
-	var rec record.Record
-	if p >= len(data) {
-		return rec, 0, fmt.Errorf("%w: truncated record", ErrBadTable)
-	}
-	rec.Kind = record.Kind(data[p])
-	p++
-	klen, w := binary.Uvarint(data[p:])
-	if w <= 0 || p+w+int(klen)+8 > len(data) {
-		return rec, 0, fmt.Errorf("%w: bad key frame", ErrBadTable)
-	}
-	p += w
-	rec.Key = append([]byte(nil), data[p:p+int(klen)]...)
-	p += int(klen)
-	rec.Ts = binary.BigEndian.Uint64(data[p : p+8])
-	p += 8
-	vlen, w := binary.Uvarint(data[p:])
-	if w <= 0 || p+w+int(vlen) > len(data) {
-		return rec, 0, fmt.Errorf("%w: bad value frame", ErrBadTable)
-	}
-	p += w
-	rec.Value = append([]byte(nil), data[p:p+int(vlen)]...)
-	p += int(vlen)
-	plen, w := binary.Uvarint(data[p:])
-	if w <= 0 || p+w+int(plen) > len(data) {
-		return rec, 0, fmt.Errorf("%w: bad proof frame", ErrBadTable)
-	}
-	p += w
-	rec.Proof = append([]byte(nil), data[p:p+int(plen)]...)
-	p += int(plen)
-	return rec, p - start, nil
-}
-
-func (t *Table) readBlock(i int) ([]record.Record, error) {
+// blockData fetches data block i through the table's source.
+func (t *Table) blockData(i int) ([]byte, error) {
 	e := t.index[i]
-	data, err := t.source.ReadBlock(t.fileNum, i, e.off, e.length)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBlock(data)
+	return t.source.ReadBlock(t.fileNum, i, e.off, e.length)
 }
 
 // Get returns the newest record of key with Ts ≤ tsq, if the table holds
-// one. The Bloom filter short-circuits definite misses.
+// one. The Bloom filter short-circuits definite misses; otherwise only the
+// hit is copied out of the block.
 func (t *Table) Get(key []byte, tsq uint64) (record.Record, bool, error) {
 	bi := t.seekBlock(key, tsq)
-	if bi >= len(t.index) {
+	if bi >= len(t.index) || !t.filters[bi].MayContain(key) {
 		return record.Record{}, false, nil
 	}
-	if !t.filters[bi].MayContain(key) {
-		return record.Record{}, false, nil
-	}
-	recs, err := t.readBlock(bi)
+	data, err := t.blockData(bi)
 	if err != nil {
 		return record.Record{}, false, err
 	}
-	for _, r := range recs {
-		if record.Compare(r.Key, r.Ts, key, tsq) >= 0 {
-			if string(r.Key) == string(key) {
-				return r, true, nil
-			}
-			return record.Record{}, false, nil
-		}
+	f, off, _, err := seekFrame(data, key, tsq)
+	if err != nil || off == len(data) || !bytes.Equal(f.key, key) {
+		return record.Record{}, false, err
 	}
-	return record.Record{}, false, nil
+	return f.own(), true, nil
 }
 
 // SeekWithPrev locates the seek position of (key, ts) and returns the
@@ -487,26 +523,31 @@ func (t *Table) SeekWithPrev(key []byte, ts uint64) (prev, cur *record.Record, e
 		}
 		return &last, nil, nil
 	}
-	recs, err := t.readBlock(bi)
+	data, err := t.blockData(bi)
 	if err != nil {
 		return nil, nil, err
 	}
-	pos := 0
-	for pos < len(recs) && record.Compare(recs[pos].Key, recs[pos].Ts, key, ts) < 0 {
-		pos++
+	f, off, prevOff, err := seekFrame(data, key, ts)
+	if err != nil {
+		return nil, nil, err
 	}
-	if pos < len(recs) {
-		cur = &recs[pos]
+	if off < len(data) {
+		c := f.own()
+		cur = &c
 	}
 	switch {
-	case pos > 0:
-		prev = &recs[pos-1]
-	case bi > 0:
-		prevRecs, err := t.readBlock(bi - 1)
+	case prevOff >= 0:
+		pf, _, err := parseFrame(data, prevOff)
 		if err != nil {
 			return nil, nil, err
 		}
-		p := prevRecs[len(prevRecs)-1]
+		p := pf.own()
+		prev = &p
+	case bi > 0:
+		p, err := t.lastOf(bi - 1)
+		if err != nil {
+			return nil, nil, err
+		}
 		prev = &p
 	}
 	return prev, cur, nil
@@ -514,76 +555,111 @@ func (t *Table) SeekWithPrev(key []byte, ts uint64) (prev, cur *record.Record, e
 
 // Last returns the table's last record.
 func (t *Table) Last() (record.Record, error) {
-	recs, err := t.readBlock(len(t.index) - 1)
+	return t.lastOf(len(t.index) - 1)
+}
+
+// lastOf returns the last record of data block bi.
+func (t *Table) lastOf(bi int) (record.Record, error) {
+	data, err := t.blockData(bi)
 	if err != nil {
 		return record.Record{}, err
 	}
-	return recs[len(recs)-1], nil
+	if len(data) == 0 {
+		return record.Record{}, fmt.Errorf("%w: empty block %d", ErrBadTable, bi)
+	}
+	var last frame
+	for off := 0; off < len(data); {
+		f, n, err := parseFrame(data, off)
+		if err != nil {
+			return record.Record{}, err
+		}
+		last, off = f, off+n
+	}
+	return last.own(), nil
 }
 
 // Iter returns an iterator over the table.
 func (t *Table) Iter() record.Iterator {
-	return &tableIter{t: t, block: -1}
+	return &tableIter{t: t}
 }
 
+// tableIter walks a table's frames in place, block by block. Record copies
+// the current frame out once; skipping a frame copies nothing.
 type tableIter struct {
 	t     *Table
-	block int
-	recs  []record.Record
-	pos   int
+	block int    // index of the block data came from
+	data  []byte // the current block's bytes, borrowed from the source
+	off   int    // offset of the current frame; len(data) when not valid
+	cur   frame  // the current frame, borrowing from data
+	n     int    // framed length of cur
+	rec   record.Record
+	owned bool // rec holds a private copy of cur
 	err   error
 }
 
 var _ record.Iterator = (*tableIter)(nil)
 
-func (it *tableIter) loadBlock(i int) {
-	if i >= len(it.t.index) {
-		it.recs = nil
-		it.pos = 0
-		it.block = len(it.t.index)
-		return
+// position moves to the frame at off in block bi, whose bytes are data,
+// or on to the first frame of the following blocks when off is past data's
+// last frame.
+func (it *tableIter) position(bi int, data []byte, off int) {
+	for off >= len(data) {
+		bi, off = bi+1, 0
+		if bi >= len(it.t.index) {
+			it.data, it.off = nil, 0
+			return
+		}
+		var err error
+		if data, err = it.t.blockData(bi); err != nil {
+			it.fail(err)
+			return
+		}
 	}
-	recs, err := it.t.readBlock(i)
+	f, n, err := parseFrame(data, off)
 	if err != nil {
-		it.err = err
-		it.recs = nil
-		it.block = len(it.t.index)
+		it.fail(err)
 		return
 	}
-	it.block = i
-	it.recs = recs
-	it.pos = 0
+	it.block, it.data, it.off, it.cur, it.n, it.owned = bi, data, off, f, n, false
 }
 
-func (it *tableIter) Valid() bool { return it.pos < len(it.recs) }
+func (it *tableIter) fail(err error) {
+	it.err, it.data, it.off = err, nil, 0
+}
+
+func (it *tableIter) Valid() bool { return it.off < len(it.data) }
 
 func (it *tableIter) Next() {
-	if !it.Valid() {
-		return
-	}
-	it.pos++
-	if it.pos >= len(it.recs) {
-		it.loadBlock(it.block + 1)
+	if it.Valid() {
+		it.position(it.block, it.data, it.off+it.n)
 	}
 }
 
-func (it *tableIter) Record() record.Record { return it.recs[it.pos] }
+func (it *tableIter) Record() record.Record {
+	if !it.owned {
+		it.rec, it.owned = it.cur.own(), true
+	}
+	return it.rec
+}
 
 func (it *tableIter) SeekGE(key []byte, ts uint64) {
 	bi := it.t.seekBlock(key, ts)
-	it.loadBlock(bi)
-	for it.pos < len(it.recs) && record.Compare(it.recs[it.pos].Key, it.recs[it.pos].Ts, key, ts) < 0 {
-		it.pos++
+	var data []byte
+	off := 0
+	if bi < len(it.t.index) {
+		var err error
+		if data, err = it.t.blockData(bi); err == nil {
+			_, off, _, err = seekFrame(data, key, ts)
+		}
+		if err != nil {
+			it.fail(err)
+			return
+		}
 	}
-	if it.pos >= len(it.recs) && bi < len(it.t.index) {
-		it.loadBlock(bi + 1)
-	}
+	it.position(bi, data, off)
 }
 
 // Err returns the first block-read error encountered, if any.
 func (it *tableIter) Err() error { return it.err }
 
 func (it *tableIter) Close() error { return it.err }
-
-// First positions the iterator at the table's first record.
-func (it *tableIter) First() { it.loadBlock(0) }
