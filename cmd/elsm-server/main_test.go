@@ -2,78 +2,48 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"elsm"
+	"elsm/internal/netclient"
+	"elsm/internal/netproto"
+	"elsm/internal/netsrv"
 	"elsm/internal/repl"
 	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 )
 
-// dialogue runs one client session against serve() over an in-memory pipe.
-// Lines tagged with a leading ">" are sent without reading a reply (the
-// multi-line BATCH command, whose single reply follows the last op line —
-// request it with the pseudo-line "<"); SCAN replies are read until their
-// END/ERR terminator. net.Pipe is unbuffered, so a send that expected no
-// reply but drew one would deadlock rather than pass silently.
-func dialogue(t *testing.T, store *elsm.Store, lines []string) []string {
+// serveStore serves store on a loopback listener the way main does and
+// returns its address. Teardown is automatic.
+func serveStore(t *testing.T, store *elsm.Store) string {
 	t.Helper()
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		serve(server, store)
-		close(done)
-	}()
-	w := bufio.NewWriter(client)
-	r := bufio.NewReader(client)
-	var replies []string
-	readReply := func(context string) {
-		for {
-			reply, err := r.ReadString('\n')
-			if err != nil {
-				t.Fatalf("read reply to %q: %v", context, err)
-			}
-			reply = strings.TrimSpace(reply)
-			replies = append(replies, reply)
-			// SCAN streams ROW lines (and STATS streams STAT lines) until
-			// END or ERR.
-			if strings.HasPrefix(reply, "ROW ") || strings.HasPrefix(reply, "STAT ") {
-				continue
-			}
-			return
-		}
+	cfg, err := netConfig(netsrv.DefaultMaxConnections, netsrv.DefaultPipelineDepth, netsrv.DefaultMaxInflight)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, line := range lines {
-		if line == "<" {
-			readReply("<deferred>")
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, ">"); ok {
-			fmt.Fprintln(w, rest)
-			w.Flush()
-			continue
-		}
-		fmt.Fprintln(w, line)
-		w.Flush()
-		if strings.HasPrefix(strings.ToUpper(line), "QUIT") {
-			break
-		}
-		readReply(line)
+	srv, err := netsrv.New(store, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	client.Close()
-	<-done
-	return replies
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return ln.Addr().String()
 }
 
-func mustOpen(t *testing.T) *elsm.Store {
+func open(t *testing.T, opts elsm.Options) *elsm.Store {
 	t.Helper()
-	store, err := elsm.Open(elsm.Options{})
+	store, err := elsm.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,367 +51,339 @@ func mustOpen(t *testing.T) *elsm.Store {
 	return store
 }
 
-func TestServerProtocol(t *testing.T) {
-	replies := dialogue(t, mustOpen(t), []string{
-		"PUT alpha one",
-		"PUT beta two",
-		"GET alpha",
-		"GET missing",
-		"SCAN a z",
-		"DEL alpha",
-		"GET alpha",
-		"BOGUS",
-		"QUIT",
-	})
-	want := []struct {
-		idx    int
-		prefix string
-	}{
-		{0, "OK "},
-		{1, "OK "},
-		{2, "VALUE "},
-		{3, "NOTFOUND"},
-		{4, "ROW alpha one"},
-		{5, "ROW beta two"},
-		{6, "END 2"},
-		{7, "OK "},
-		{8, "NOTFOUND"},
-		{9, "ERR "},
+func dial(t *testing.T, addr string) *netclient.Client {
+	t.Helper()
+	c, err := netclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(replies) != len(want) {
-		t.Fatalf("replies = %d: %v", len(replies), replies)
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// dialStore serves a fresh store opened with opts and dials it.
+func dialStore(t *testing.T, opts elsm.Options) (*elsm.Store, *netclient.Client) {
+	t.Helper()
+	store := open(t, opts)
+	return store, dial(t, serveStore(t, store))
+}
+
+// scanRows drains one verified scan into "key=value" strings.
+func scanRows(t *testing.T, c *netclient.Client, start, end []byte, tsq uint64) []string {
+	t.Helper()
+	sc, err := c.ScanAt(start, end, tsq)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, w := range want {
-		if !strings.HasPrefix(replies[w.idx], w.prefix) {
-			t.Fatalf("reply %d = %q, want prefix %q", w.idx, replies[w.idx], w.prefix)
+	var rows []string
+	for sc.Next() {
+		rows = append(rows, fmt.Sprintf("%s=%s", sc.Key(), sc.Value()))
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	return rows
+}
+
+func wantValue(t *testing.T, c *netclient.Client, key, want string) {
+	t.Helper()
+	res, err := c.Get([]byte(key))
+	if err != nil {
+		t.Fatalf("get %q: %v", key, err)
+	}
+	switch {
+	case want == "" && res.Found:
+		t.Fatalf("get %q = %q, want not found", key, res.Value)
+	case want != "" && (!res.Found || string(res.Value) != want):
+		t.Fatalf("get %q = %+v, want %q", key, res, want)
+	}
+}
+
+// exchange writes raw request frames in one burst on a fresh connection
+// and returns the single-frame responses keyed by request id (responses
+// may arrive out of order).
+func exchange(t *testing.T, addr string, frames ...[]byte) map[uint64]*netproto.Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(bytes.Join(frames, nil)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	out := make(map[uint64]*netproto.Response)
+	for range frames {
+		typ, id, body, err := netproto.ReadFrame(br, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		resp, err := netproto.DecodeResponse(typ, id, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[id] = resp
 	}
-	if !strings.Contains(replies[2], "one") {
-		t.Fatalf("GET reply %q missing value", replies[2])
-	}
+	return out
 }
 
-// TestServerStats checks the STATS command: STAT lines for the engine and
-// background-maintenance counters, terminated by END.
-// TestServerSnapshotVerbs drives the SNAPSHOT/SGET/SSCAN/RELEASE session
-// verbs: a pinned snapshot keeps answering with its capture-time state
-// while the live store moves on, and releasing an unknown id errors.
+func frame(op netproto.Op, id uint64, body []byte) []byte {
+	var b bytes.Buffer
+	netproto.WriteFrame(&b, uint8(op), id, body)
+	return b.Bytes()
+}
+
+func request(req *netproto.Request) []byte { return netproto.AppendRequest(nil, req) }
+
+func TestServerProtocol(t *testing.T) {
+	_, c := dialStore(t, elsm.Options{})
+	if _, err := c.Put([]byte("alpha"), []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Put([]byte("beta"), []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	wantValue(t, c, "alpha", "one")
+	wantValue(t, c, "missing", "")
+	if got := scanRows(t, c, []byte("a"), []byte("z"), 0); fmt.Sprint(got) != "[alpha=one beta=two]" {
+		t.Fatalf("scan = %v", got)
+	}
+	if _, err := c.Delete([]byte("alpha")); err != nil {
+		t.Fatal(err)
+	}
+	wantValue(t, c, "alpha", "")
+}
+
+// TestServerSnapshotVerbs checks point-in-time reads over the wire: a
+// ScanAt at a captured timestamp answers with the capture-time state while
+// the live store moves on.
 func TestServerSnapshotVerbs(t *testing.T) {
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		"PUT alice v1",
-		"PUT bob v1",
-		"SNAPSHOT",
-		"PUT alice v2",
-		"DEL bob",
-		"SGET 1 alice",
-		"SGET 1 bob",
-		"GET alice",
-		"GET bob",
-		"SSCAN 1 a z",
-		"RELEASE 1",
-		"SGET 1 alice",
-		"RELEASE 7",
-	})
-	if !strings.HasPrefix(replies[2], "OK 1 ") {
-		t.Fatalf("SNAPSHOT reply = %q, want OK 1 <ts>", replies[2])
+	_, c := dialStore(t, elsm.Options{})
+	if _, err := c.Put([]byte("alice"), []byte("v1")); err != nil {
+		t.Fatal(err)
 	}
-	if replies[5] != "VALUE 1 v1" {
-		t.Fatalf("snapshot get alice = %q, want the pre-churn VALUE 1 v1", replies[5])
+	captured, err := c.Put([]byte("bob"), []byte("v1"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if replies[6] != "VALUE 2 v1" {
-		t.Fatalf("snapshot get bob = %q, want VALUE 2 v1 (deletion must not leak in)", replies[6])
+	if _, err := c.Put([]byte("alice"), []byte("v2")); err != nil {
+		t.Fatal(err)
 	}
-	if replies[7] != "VALUE 3 v2" {
-		t.Fatalf("live get alice = %q, want VALUE 3 v2", replies[7])
+	if _, err := c.Delete([]byte("bob")); err != nil {
+		t.Fatal(err)
 	}
-	if replies[8] != "NOTFOUND" {
-		t.Fatalf("live get bob = %q, want NOTFOUND", replies[8])
+	if got := scanRows(t, c, []byte("a"), []byte("z"), captured); fmt.Sprint(got) != "[alice=v1 bob=v1]" {
+		t.Fatalf("scan at ts %d = %v, want both capture-time rows", captured, got)
 	}
-	scan := replies[9 : len(replies)-3]
-	if len(scan) != 3 || scan[0] != "ROW alice v1" || scan[1] != "ROW bob v1" || scan[2] != "END 2" {
-		t.Fatalf("snapshot scan = %q, want both capture-time rows", scan)
-	}
-	if replies[len(replies)-3] != "OK" {
-		t.Fatalf("RELEASE = %q, want OK", replies[len(replies)-3])
-	}
-	if !strings.HasPrefix(replies[len(replies)-2], "ERR") {
-		t.Fatalf("SGET on released snapshot = %q, want ERR", replies[len(replies)-2])
-	}
-	if !strings.HasPrefix(replies[len(replies)-1], "ERR") {
-		t.Fatalf("RELEASE of unknown id = %q, want ERR", replies[len(replies)-1])
-	}
-	if st := store.Stats(); st.SnapshotsOpen != 0 {
-		t.Fatalf("SnapshotsOpen = %d after RELEASE, want 0", st.SnapshotsOpen)
+	if got := scanRows(t, c, []byte("a"), []byte("z"), 0); fmt.Sprint(got) != "[alice=v2]" {
+		t.Fatalf("live scan = %v, want the overwrite and no bob", got)
 	}
 }
 
-// TestServerAsyncVerbs drives PUTASYNC/SYNC: acknowledgments carry
-// monotonic timestamps, SYNC settles them all, and the writes are durable
-// and visible afterwards.
+// TestServerAsyncVerbs drives pipelined writes: acknowledgments carry
+// monotonic timestamps, SYNC is a barrier, and the writes are visible
+// afterwards.
 func TestServerAsyncVerbs(t *testing.T) {
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		"PUTASYNC k1 v1",
-		"PUTASYNC k2 v2",
-		"PUTASYNC k3 v3",
-		"SYNC",
-		"GET k2",
-		"SYNC",
-	})
+	_, c := dialStore(t, elsm.Options{})
+	var futs []*netclient.Future
+	for i := 1; i <= 3; i++ {
+		fut, err := c.PutAsync([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+	}
 	var last uint64
-	for i := 0; i < 3; i++ {
-		var ts uint64
-		if _, err := fmt.Sscanf(replies[i], "ACK %d", &ts); err != nil || ts <= last {
-			t.Fatalf("PUTASYNC reply %d = %q, want ACK with a fresh timestamp", i, replies[i])
+	for i, fut := range futs {
+		ts, err := fut.Wait()
+		if err != nil || ts <= last {
+			t.Fatalf("async put %d: ts %d err %v, want a fresh timestamp", i, ts, err)
 		}
 		last = ts
 	}
-	if replies[3] != "OK 3" {
-		t.Fatalf("SYNC = %q, want OK 3 (three settled futures)", replies[3])
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	if replies[4] != fmt.Sprintf("VALUE %d v2", last-1) {
-		t.Fatalf("get after SYNC = %q, want the async write", replies[4])
-	}
-	if replies[5] != "OK 0" {
-		t.Fatalf("idle SYNC = %q, want OK 0", replies[5])
-	}
-}
-
-// TestServerSnapshotsReleasedOnDisconnect checks the per-connection cleanup
-// path: a client that drops with snapshots open must not leak pins.
-func TestServerSnapshotsReleasedOnDisconnect(t *testing.T) {
-	store := mustOpen(t)
-	dialogue(t, store, []string{
-		"PUT k v",
-		"SNAPSHOT",
-		"SNAPSHOT",
-		"QUIT",
-	})
-	if st := store.Stats(); st.SnapshotsOpen != 0 {
-		t.Fatalf("SnapshotsOpen = %d after disconnect, want 0", st.SnapshotsOpen)
-	}
+	wantValue(t, c, "k2", "v2")
 }
 
 func TestServerStats(t *testing.T) {
-	replies := dialogue(t, mustOpen(t), []string{
-		"PUT alpha one",
-		"STATS",
-		"QUIT",
-	})
-	if len(replies) < 2 || replies[0] != "OK 1" {
-		t.Fatalf("unexpected replies: %v", replies)
+	_, c := dialStore(t, elsm.Options{})
+	if _, err := c.Put([]byte("alpha"), []byte("one")); err != nil {
+		t.Fatal(err)
 	}
-	statLines := replies[1 : len(replies)-1]
-	if replies[len(replies)-1] != "END" {
-		t.Fatalf("STATS not END-terminated: %v", replies[len(replies)-1])
-	}
-	seen := map[string]bool{}
-	for _, line := range statLines {
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "STAT" {
-			t.Fatalf("malformed STAT line %q", line)
-		}
-		seen[fields[1]] = true
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, name := range []string{
 		"shards", "flushes", "compactions", "background_compactions",
 		"flush_stall_nanos", "compaction_stall_nanos", "pinned_runs",
 		"group_commit_window_nanos", "wal_syncs", "verified_gets",
 		"shard0_wal_syncs", "shard0_snapshots_open", "shard0_async_commits_in_flight",
+		"net_connections",
 	} {
-		if !seen[name] {
-			t.Fatalf("STATS missing %q (got %v)", name, seen)
+		if _, ok := stats[name]; !ok {
+			t.Fatalf("STATS missing %q (got %v)", name, stats)
 		}
 	}
 }
 
 // TestServerShardedStore drives the wire protocol against a 4-shard store:
-// cross-shard MPUT batches, merged verified SCAN, snapshot verbs over the
-// router snapshot, and the per-shard STATS gauges that make the topology
-// observable.
+// a cross-shard batch, a merged verified SCAN in key order, and the
+// per-shard STATS gauges that make the topology observable.
 func TestServerShardedStore(t *testing.T) {
-	store, err := elsm.Open(elsm.Options{Shards: 4})
+	_, c := dialStore(t, elsm.Options{Shards: 4})
+	var ops []netproto.BatchOp
+	for i, k := range []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"} {
+		ops = append(ops, netproto.BatchOp{Key: []byte(k), Value: []byte(fmt.Sprint(i + 1))})
+	}
+	if _, err := c.Batch(ops); err != nil {
+		t.Fatalf("cross-shard batch: %v", err)
+	}
+	wantValue(t, c, "charlie", "3")
+	if _, err := c.Put([]byte("alpha"), []byte("overwritten")); err != nil {
+		t.Fatal(err)
+	}
+	want := "[alpha=overwritten bravo=2 charlie=3 delta=4 echo=5 foxtrot=6]"
+	if got := scanRows(t, c, []byte("a"), []byte("z"), 0); fmt.Sprint(got) != want {
+		t.Fatalf("merged scan = %v, want %s", got, want)
+	}
+	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { store.Close() })
-
-	lines := []string{
-		"MPUT alpha 1 bravo 2 charlie 3 delta 4 echo 5 foxtrot 6",
-		"GET charlie",
-		"SNAPSHOT",
-		"PUT alpha overwritten",
-		"SGET 1 alpha",
-		"SSCAN 1 a z",
-		"SCAN a z",
-		"RELEASE 1",
-		"STATS",
-		"QUIT",
+	if stats["shards"] != 4 {
+		t.Fatalf("shards gauge = %d, want 4", stats["shards"])
 	}
-	replies := dialogue(t, store, lines)
-	if !strings.HasPrefix(replies[0], "OK ") {
-		t.Fatalf("cross-shard MPUT: %q", replies[0])
-	}
-	if !strings.HasPrefix(replies[1], "VALUE ") || !strings.HasSuffix(replies[1], " 3") {
-		t.Fatalf("GET after cross-shard batch: %q", replies[1])
-	}
-	// The snapshot predates the overwrite: SGET must serve the old value.
-	var sgetRow string
-	for _, r := range replies {
-		if strings.HasPrefix(r, "VALUE ") && strings.HasSuffix(r, " 1") {
-			sgetRow = r
-		}
-	}
-	if sgetRow == "" {
-		t.Fatalf("snapshot read did not serve the pre-overwrite value: %v", replies)
-	}
-	// Both the snapshot scan and the live merged scan return all six keys,
-	// END-terminated, with ROW lines in key order.
-	ends, rows := 0, []string{}
-	for _, r := range replies {
-		if r == "END 6" {
-			ends++
-		}
-		if strings.HasPrefix(r, "ROW ") {
-			rows = append(rows, strings.Fields(r)[1])
-		}
-	}
-	if ends != 2 || len(rows) != 12 {
-		t.Fatalf("merged scans: %d END 6 lines, %d rows (want 2 and 12): %v", ends, len(rows), replies)
-	}
-	for i := 1; i < 6; i++ {
-		if rows[i-1] >= rows[i] || rows[6+i-1] >= rows[6+i] {
-			t.Fatalf("merged scan rows out of key order: %v", rows)
-		}
-	}
-	shardStats := 0
-	for _, r := range replies {
-		if strings.HasPrefix(r, "STAT shard3_") {
-			shardStats++
-		}
-	}
-	if shardStats == 0 {
-		t.Fatalf("per-shard STATS gauges missing for shard 3: %v", replies)
-	}
-}
-
-func TestServerBinarySafety(t *testing.T) {
-	replies := dialogue(t, mustOpen(t), []string{
-		`PUT key "a value with spaces"`,
-		"GET key",
-		`PUT "key with spaces" plain`,
-		`GET "key with spaces"`,
-		`PUT bin "line1\nline2\x00"`,
-		"GET bin",
-		`SCAN " " "~~~~"`,
-		"QUIT",
-	})
-	if want := `VALUE 1 "a value with spaces"`; replies[1] != want {
-		t.Fatalf("GET = %q, want %q", replies[1], want)
-	}
-	if replies[3] != "VALUE 2 plain" {
-		t.Fatalf("GET quoted key = %q", replies[3])
-	}
-	if want := `VALUE 3 "line1\nline2\x00"`; replies[5] != want {
-		t.Fatalf("GET binary = %q, want %q", replies[5], want)
-	}
-	// The scan must frame all three records unambiguously in 3 rows + END.
-	var rows, end int
-	for _, r := range replies[6:] {
-		switch {
-		case strings.HasPrefix(r, "ROW "):
-			rows++
-		case strings.HasPrefix(r, "END "):
-			end++
-		}
-	}
-	if rows != 3 || end != 1 {
-		t.Fatalf("scan framing: %d rows, %d END in %v", rows, end, replies[6:])
-	}
-}
-
-func TestServerRejectsMalformed(t *testing.T) {
-	replies := dialogue(t, mustOpen(t), []string{
-		`PUT key "unterminated`,
-		`PUT ke"y v`,
-		"PUT onlykey",
-		"MPUT k1 v1 k2", // odd arity
-		"GET key",
-		"QUIT",
-	})
 	for i := 0; i < 4; i++ {
-		if !strings.HasPrefix(replies[i], "ERR ") {
-			t.Fatalf("reply %d = %q, want ERR", i, replies[i])
+		if _, ok := stats[fmt.Sprintf("shard%d_wal_syncs", i)]; !ok {
+			t.Fatalf("per-shard STATS gauges missing for shard %d: %v", i, stats)
 		}
-	}
-	if replies[4] != "NOTFOUND" {
-		t.Fatalf("malformed PUTs must not write; GET = %q", replies[4])
 	}
 }
 
-func TestServerBadBatchSizeClosesConnection(t *testing.T) {
-	// A bad size declaration is a framing-level protocol error: the server
-	// cannot resynchronize, so it must ERR and drop the session rather
-	// than execute later pipelined lines out of context.
-	for _, size := range []string{"notanumber", "99999999", "-1"} {
-		replies := dialogue(t, mustOpen(t), []string{"BATCH " + size})
-		if len(replies) != 1 || !strings.HasPrefix(replies[0], "ERR ") {
-			t.Fatalf("BATCH %s replies = %v, want one ERR", size, replies)
+// TestServerBinarySafety round-trips keys and values holding spaces,
+// quotes, newlines and NUL bytes, through Get and a framed SCAN.
+func TestServerBinarySafety(t *testing.T) {
+	_, c := dialStore(t, elsm.Options{})
+	pairs := [][2]string{
+		{"key", "a value with spaces"},
+		{"key with spaces", `"quoted" \ value`},
+		{"bin\x00key\n", "line1\nline2\x00"},
+	}
+	for _, p := range pairs {
+		if _, err := c.Put([]byte(p[0]), []byte(p[1])); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for _, p := range pairs {
+		wantValue(t, c, p[0], p[1])
+	}
+	got := scanRows(t, c, []byte{0}, []byte("\xff"), 0)
+	want := fmt.Sprint([]string{pairs[2][0] + "=" + pairs[2][1], "key=" + pairs[0][1], "key with spaces=" + pairs[1][1]})
+	if fmt.Sprint(got) != want {
+		t.Fatalf("scan = %q, want %q", got, want)
+	}
+}
+
+// TestServerRejectsMalformed sends undecodable request bodies: each draws
+// a typed ErrnoMalformed under its id, and none of them writes.
+func TestServerRejectsMalformed(t *testing.T) {
+	resps := exchange(t, serveStore(t, open(t, elsm.Options{})),
+		frame(netproto.OpPut, 1, []byte{3, 'k', 'e', 'y', 9, 'v'}), // value overruns the body
+		frame(netproto.OpPut, 2, []byte{3, 'k', 'e', 'y'}),         // no value
+		frame(netproto.OpBatch, 3, []byte{0xff, 0xff, 0xff, 0x0f}), // count past the cap
+		frame(netproto.OpGet, 4, []byte{3, 'k', 'e', 'y', 0}),      // trailing byte
+		request(&netproto.Request{Op: netproto.OpGet, ID: 5, Key: []byte("key")}),
+	)
+	for id := uint64(1); id <= 4; id++ {
+		if r := resps[id]; r == nil || r.Code != netproto.CodeErr || r.Errno != netproto.ErrnoMalformed {
+			t.Fatalf("request %d answer = %+v, want ErrnoMalformed", id, r)
+		}
+	}
+	if r := resps[5]; r == nil || r.Code != netproto.CodeNotFound {
+		t.Fatalf("malformed PUTs must not write; GET = %+v", r)
 	}
 }
 
 func TestServerBatchCommands(t *testing.T) {
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		"MPUT a 1 b 2 c 3",
-		"GET b",
-		">BATCH 3",
-		">PUT d 4",
-		">DEL a",
-		">PUT e 5",
-		"<",
-		"SCAN a z",
-		"QUIT",
-	})
-	if !strings.HasPrefix(replies[0], "OK ") {
-		t.Fatalf("MPUT = %q", replies[0])
+	_, c := dialStore(t, elsm.Options{})
+	put := func(k, v string) netproto.BatchOp { return netproto.BatchOp{Key: []byte(k), Value: []byte(v)} }
+	if _, err := c.Batch([]netproto.BatchOp{put("a", "1"), put("b", "2"), put("c", "3")}); err != nil {
+		t.Fatal(err)
 	}
-	if replies[1] != "VALUE 2 2" {
-		t.Fatalf("GET after MPUT = %q", replies[1])
+	wantValue(t, c, "b", "2")
+	if _, err := c.Batch([]netproto.BatchOp{put("d", "4"), {Key: []byte("a"), Delete: true}, put("e", "5")}); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(replies[2], "OK ") {
-		t.Fatalf("BATCH = %q", replies[2])
+	if got := scanRows(t, c, []byte("a"), []byte("z"), 0); fmt.Sprint(got) != "[b=2 c=3 d=4 e=5]" {
+		t.Fatalf("scan = %v", got)
 	}
-	wantRows := []string{"ROW b 2", "ROW c 3", "ROW d 4", "ROW e 5", "END 4"}
-	got := replies[3:]
-	if len(got) != len(wantRows) {
-		t.Fatalf("scan = %v, want %v", got, wantRows)
+}
+
+// badBatch encodes a batch body whose ops put each key before a final op
+// of unknown kind, which makes the whole batch undecodable.
+func badBatch(keys ...string) []byte {
+	body := []byte{byte(len(keys) + 1)}
+	for _, k := range keys {
+		body = append(body, 0, byte(len(k)))
+		body = append(body, k...)
+		body = append(body, 1, 'v')
 	}
-	for i, w := range wantRows {
-		if got[i] != w {
-			t.Fatalf("scan row %d = %q, want %q", i, got[i], w)
-		}
+	return append(body, 9)
+}
+
+// TestServerBatchAborted checks batch atomicity under a malformed op: the
+// batch is refused whole and applies nothing.
+func TestServerBatchAborted(t *testing.T) {
+	resps := exchange(t, serveStore(t, open(t, elsm.Options{})),
+		frame(netproto.OpBatch, 1, badBatch("x")),
+		request(&netproto.Request{Op: netproto.OpGet, ID: 2, Key: []byte("x")}),
+	)
+	if r := resps[1]; r.Code != netproto.CodeErr || r.Errno != netproto.ErrnoMalformed {
+		t.Fatalf("bad batch op = %+v, want ErrnoMalformed", r)
+	}
+	if r := resps[2]; r.Code != netproto.CodeNotFound {
+		t.Fatalf("aborted batch must apply nothing; GET x = %+v", r)
+	}
+}
+
+// TestServerBatchAbortDrainsPipelinedOps pipelines requests behind a
+// refused batch: the batch's ops never execute, and every request after it
+// is answered under its own id.
+func TestServerBatchAbortDrainsPipelinedOps(t *testing.T) {
+	resps := exchange(t, serveStore(t, open(t, elsm.Options{})),
+		frame(netproto.OpBatch, 1, badBatch("y", "z")),
+		request(&netproto.Request{Op: netproto.OpGet, ID: 2, Key: []byte("y")}),
+		request(&netproto.Request{Op: netproto.OpGet, ID: 3, Key: []byte("z")}),
+		request(&netproto.Request{Op: netproto.OpPut, ID: 4, Key: []byte("w"), Value: []byte("1")}),
+	)
+	if r := resps[1]; r.Code != netproto.CodeErr {
+		t.Fatalf("bad batch = %+v, want CodeErr", r)
+	}
+	if resps[2].Code != netproto.CodeNotFound || resps[3].Code != netproto.CodeNotFound {
+		t.Fatalf("refused batch ops leaked: %+v %+v", resps[2], resps[3])
+	}
+	if r := resps[4]; r.Code != netproto.CodeOK {
+		t.Fatalf("request after a refused batch = %+v, want OK", r)
 	}
 }
 
 // TestServerConnectionsShareCommitGroups proves the server-side write
-// coalescing: MPUT and BATCH requests arriving on SEPARATE connections ride
-// the store's shared group-commit pipeline, so the store issues measurably
-// fewer WAL fsyncs than it served write requests. The store sits on
-// sync-delayed storage (where grouping matters) with a small batching
-// window so concurrent requests reliably land in shared groups.
+// coalescing: batches arriving on SEPARATE connections ride the store's
+// shared group-commit pipeline, so the store issues measurably fewer
+// commit groups and WAL fsyncs than it served write requests. The store
+// sits on sync-delayed storage (where grouping matters) with a small
+// batching window so concurrent requests reliably land in shared groups.
 func TestServerConnectionsShareCommitGroups(t *testing.T) {
-	fs := vfs.NewSlowSync(vfs.NewMem(), 500*time.Microsecond)
-	store, err := elsm.Open(elsm.Options{
-		FS:                fs,
+	store := open(t, elsm.Options{
+		FS:                vfs.NewSlowSync(vfs.NewMem(), 500*time.Microsecond),
 		GroupCommitWindow: 2 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
+	addr := serveStore(t, store)
 
 	const conns = 8
 	const requestsPerConn = 10
@@ -451,33 +393,20 @@ func TestServerConnectionsShareCommitGroups(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			client, server := net.Pipe()
-			done := make(chan struct{})
-			go func() {
-				serve(server, store)
-				close(done)
-			}()
-			defer func() {
-				client.Close()
-				<-done
-			}()
-			w := bufio.NewWriter(client)
-			r := bufio.NewReader(client)
+			client, err := netclient.Dial(addr)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer client.Close()
 			for i := 0; i < requestsPerConn; i++ {
-				// Alternate MPUT and BATCH, the two grouped write forms.
-				if i%2 == 0 {
-					fmt.Fprintf(w, "MPUT c%02d-a%02d 1 c%02d-b%02d 2\n", c, i, c, i)
-				} else {
-					fmt.Fprintf(w, "BATCH 2\nPUT c%02d-a%02d 3\nDEL c%02d-b%02d\n", c, i, c, i)
-				}
-				w.Flush()
-				reply, err := r.ReadString('\n')
-				if err != nil {
+				// One request-reply batch at a time: only cross-connection
+				// grouping can share an fsync.
+				if _, err := client.Batch([]netproto.BatchOp{
+					{Key: []byte(fmt.Sprintf("c%02d-a%02d", c, i)), Value: []byte("1")},
+					{Key: []byte(fmt.Sprintf("c%02d-b%02d", c, i)), Delete: i%2 == 1},
+				}); err != nil {
 					errs <- fmt.Errorf("conn %d req %d: %v", c, i, err)
-					return
-				}
-				if !strings.HasPrefix(reply, "OK ") {
-					errs <- fmt.Errorf("conn %d req %d: reply %q", c, i, reply)
 					return
 				}
 			}
@@ -494,175 +423,176 @@ func TestServerConnectionsShareCommitGroups(t *testing.T) {
 	if st.GroupedRecords != total*2 {
 		t.Fatalf("pipeline carried %d records, want %d", st.GroupedRecords, total*2)
 	}
-	if st.WALSyncs >= total {
-		t.Fatalf("server issued %d fsyncs for %d write requests — connections are not sharing commit groups", st.WALSyncs, total)
+	if st.GroupCommits >= total || st.WALSyncs >= total {
+		t.Fatalf("%d write requests made %d commit groups and %d fsyncs — connections are not sharing commit groups",
+			total, st.GroupCommits, st.WALSyncs)
 	}
 	t.Logf("%d write requests from %d connections → %d fsyncs, %d commit groups",
 		total, conns, st.WALSyncs, st.GroupCommits)
 
 	// And the coalesced writes are all there, verified.
 	for c := 0; c < conns; c++ {
-		res, err := store.Get([]byte(fmt.Sprintf("c%02d-a%02d", c, requestsPerConn-2)))
+		res, err := store.Get([]byte(fmt.Sprintf("c%02d-a%02d", c, requestsPerConn-1)))
 		if err != nil || !res.Found {
 			t.Fatalf("conn %d data lost after coalesced commit: %v found=%v", c, err, res.Found)
 		}
 	}
 }
 
-func TestServerBatchAborted(t *testing.T) {
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		">BATCH 2",
-		">PUT x 1",
-		">NOPE y",
-		"<",
-		"GET x",
-		"QUIT",
-	})
-	if !strings.HasPrefix(replies[0], "ERR ") {
-		t.Fatalf("bad batch op = %q, want ERR", replies[0])
-	}
-	if replies[1] != "NOTFOUND" {
-		t.Fatalf("aborted batch must apply nothing; GET x = %q", replies[1])
+// replOpts opens P2 stores sharing one attestation root.
+func replOpts(secret string) elsm.Options {
+	return elsm.Options{Platform: sgx.NewPlatformFromSecret([]byte(secret)), MemtableSize: 8 << 10, BlockSize: 512}
+}
+
+// waitValue polls store until key reads want, failing on a replication
+// error or after a deadline.
+func waitValue(t *testing.T, store *elsm.Store, key, want string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if err := store.ReplicationErr(); err != nil {
+			t.Fatalf("replication failed: %v", err)
+		}
+		res, err := store.Get([]byte(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Found && string(res.Value) == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never read %s=%s", key, want)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-func TestServerBatchAbortDrainsPipelinedOps(t *testing.T) {
-	// A pipelining client sends the whole batch before reading. When an
-	// early op aborts the batch, the remaining declared op lines must be
-	// consumed — NOT executed as top-level commands — and the reply stream
-	// must stay in sync for the next real command.
-	store := mustOpen(t)
-	replies := dialogue(t, store, []string{
-		">BATCH 3",
-		">NOPE first",
-		">PUT y 2",
-		">PUT z 3",
-		"<",
-		"GET y",
-		"GET z",
-		"QUIT",
-	})
-	if !strings.HasPrefix(replies[0], "ERR ") {
-		t.Fatalf("bad batch op = %q, want ERR", replies[0])
-	}
-	if replies[1] != "NOTFOUND" || replies[2] != "NOTFOUND" {
-		t.Fatalf("drained batch ops leaked as commands: %v", replies[1:])
-	}
+// splitSource bootstraps from one leader and tails another.
+type splitSource struct{ ckpt, tail repl.Source }
+
+func (s splitSource) Checkpoint(shard int) (io.ReadCloser, error) { return s.ckpt.Checkpoint(shard) }
+func (s splitSource) Tail(shard int, fromTs uint64) (io.ReadCloser, error) {
+	return s.tail.Tail(shard, fromTs)
 }
 
-// pipeDialer turns serve() into a dialable endpoint: every Dial spawns a
-// fresh serve goroutine on one end of a net.Pipe, exactly as one TCP accept
-// would.
-func pipeDialer(store *elsm.Store) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		client, server := net.Pipe()
-		go serve(server, store)
-		return client, nil
-	}
-}
-
-// TestServerReplProtocol drives the REPL endpoint end to end over the wire:
-// a follower bootstraps from REPL CKPT, tails REPL TAIL, converges with the
-// leader, and both sides expose the replication gauges on STATS.
+// TestServerReplProtocol drives replication end to end over the binary
+// transport: a follower bootstraps from a checkpoint, tails and converges;
+// a bad shard draws a typed error; a cursor behind the leader's ring draws
+// repl.ErrBehind and a restarted stale follower re-bootstraps; writes to a
+// follower draw ErrnoReadOnly; and after promotion through
+// netclient.Promote the ex-leader's frames are fenced.
 func TestServerReplProtocol(t *testing.T) {
-	secret := []byte("server-repl-secret")
-	leader, err := elsm.Open(elsm.Options{Platform: sgx.NewPlatformFromSecret(secret)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { leader.Close() })
+	const secret = "server-repl-secret"
+	leaderOpts := replOpts(secret)
+	leaderOpts.ReplRingBytes = 4096 // a tiny ring: a burst of groups evicts it
+	leader := open(t, leaderOpts)
+	leaderAddr := serveStore(t, leader)
 	for i := 0; i < 50; i++ {
 		if _, err := leader.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v1")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Leader hubs exist before a follower dials in (the server does this
-	// lazily on the first REPL command; either order works).
-	if _, err := leader.ReplicationSource(); err != nil {
-		t.Fatal(err)
-	}
+	src := repl.NewNetSource(leaderAddr)
 
-	netSrc := repl.NewNetSource("pipe")
-	netSrc.Dial = pipeDialer(leader)
-	follower, err := elsm.OpenFollower(elsm.Options{Platform: sgx.NewPlatformFromSecret(secret)}, netSrc)
+	fopts := replOpts(secret)
+	fopts.FS = vfs.NewMem()
+	fopts.Counter = sgx.NewMonotonicCounter()
+	follower, err := elsm.OpenFollower(fopts, src)
 	if err != nil {
-		t.Fatalf("open follower over wire: %v", err)
+		t.Fatalf("open follower over the wire: %v", err)
 	}
-	t.Cleanup(func() { follower.Close() })
-
 	for i := 0; i < 50; i++ {
 		if _, err := leader.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v2")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := follower.ReplicationErr(); err != nil {
-			t.Fatalf("replication failed: %v", err)
-		}
-		res, err := follower.Get([]byte("k049"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Found && string(res.Value) == "v2" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("follower never converged over the wire protocol")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitValue(t, follower, "k049", "v2")
 
-	// STATS on the follower exposes the lag gauges; on the leader, the
-	// connected-follower count.
-	replies := dialogue(t, follower, []string{"STATS", "QUIT"})
-	stats := statMap(t, replies)
+	// STATS: lag gauges on the follower, the connected follower on the
+	// leader.
+	lc := dial(t, leaderAddr)
+	if st, err := lc.Stats(); err != nil || st["followers_connected"] < 1 {
+		t.Fatalf("leader followers_connected = %d (err %v), want >= 1", st["followers_connected"], err)
+	}
+	fc := dial(t, serveStore(t, follower))
+	st, err := fc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"repl_lag_groups", "repl_lag_bytes", "followers_connected"} {
-		if _, ok := stats[name]; !ok {
+		if _, ok := st[name]; !ok {
 			t.Fatalf("follower STATS missing %q", name)
 		}
 	}
-	replies = dialogue(t, leader, []string{"STATS", "QUIT"})
-	if got := statMap(t, replies)["followers_connected"]; got < 1 {
-		t.Fatalf("leader followers_connected = %d, want >= 1", got)
+
+	// A write against the follower draws the read-only errno.
+	var se *netclient.ServerError
+	if _, err := fc.Put([]byte("x"), []byte("y")); !errors.As(err, &se) || se.Errno != netproto.ErrnoReadOnly {
+		t.Fatalf("follower PUT err = %v, want ErrnoReadOnly", err)
+	}
+	// A bad shard is a typed error.
+	if _, err := src.Checkpoint(9); !errors.As(err, &se) || se.Errno != netproto.ErrnoMalformed {
+		t.Fatalf("checkpoint of shard 9 err = %v, want ErrnoMalformed", err)
+	}
+	// The hub was anchored after the first 50 writes, so a tail from 0 is
+	// behind the ring.
+	if _, err := src.Tail(0, 0); !errors.Is(err, repl.ErrBehind) {
+		t.Fatalf("tail from 0 err = %v, want repl.ErrBehind", err)
 	}
 
-	// A write against the follower draws ERR, and REPL rejects bad forms
-	// on the status line.
-	replies = dialogue(t, follower, []string{"PUT x y", "QUIT"})
-	if !strings.HasPrefix(replies[0], "ERR") || !strings.Contains(replies[0], "replica") {
-		t.Fatalf("follower PUT reply %q, want ERR ...replica...", replies[0])
+	// Stale follower: down while the leader moves far past the tiny ring,
+	// it reopens behind, fails stop on ErrBehind and re-bootstraps.
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
 	}
-	replies = dialogue(t, leader, []string{"REPL CKPT 9", "QUIT"})
-	if !strings.HasPrefix(replies[0], "ERR") {
-		t.Fatalf("REPL bad shard reply %q, want ERR", replies[0])
-	}
-
-	// A tail cursor older than the retained ring draws the exact BEHIND
-	// token (the hubs were anchored after the first 50 writes, so fromTs 0
-	// is out of the ring) — followers match it verbatim to re-bootstrap.
-	replies = dialogue(t, leader, []string{"REPL TAIL 0 0", "QUIT"})
-	if replies[0] != repl.StatusBehind {
-		t.Fatalf("REPL TAIL behind reply %q, want %q", replies[0], repl.StatusBehind)
-	}
-}
-
-// statMap parses STAT lines from a dialogue reply slice.
-func statMap(t *testing.T, replies []string) map[string]uint64 {
-	t.Helper()
-	out := map[string]uint64{}
-	for _, line := range replies {
-		fields := strings.Fields(line)
-		if len(fields) == 3 && fields[0] == "STAT" {
-			v, err := strconv.ParseUint(fields[2], 10, 64)
-			if err != nil {
-				t.Fatalf("bad STAT value in %q", line)
-			}
-			out[fields[1]] = v
+	val := bytes.Repeat([]byte("x"), 512)
+	for i := 0; i < 200; i++ {
+		if _, err := leader.Put([]byte(fmt.Sprintf("gap-%04d", i)), val); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return out
+	follower, err = elsm.OpenFollower(fopts, src)
+	if err != nil {
+		t.Fatalf("reopen stale follower: %v", err)
+	}
+	t.Cleanup(func() { follower.Close() })
+	waitValue(t, follower, "gap-0199", string(val))
+	if n := follower.Stats().ReplRebootstraps; n < 1 {
+		t.Fatalf("ReplRebootstraps = %d, want >= 1", n)
+	}
+
+	// Failover over the wire: promote the follower, then a follower of the
+	// promoted lineage that tails the ex-leader must reject its frames.
+	fc = dial(t, serveStore(t, follower))
+	epoch, err := fc.Promote()
+	if err != nil || epoch == 0 {
+		t.Fatalf("promote: epoch %d err %v", epoch, err)
+	}
+	if _, err := fc.Put([]byte("post-failover"), []byte("ok")); err != nil {
+		t.Fatalf("write after promotion: %v", err)
+	}
+	promotedAddr := serveStore(t, follower)
+	if _, err := dial(t, promotedAddr).Promote(); err == nil {
+		t.Fatal("promoting a leader succeeded")
+	}
+	if _, err := leader.Put([]byte("zombie-write"), []byte("stale")); err != nil {
+		t.Fatal(err)
+	}
+	fenced, err := elsm.OpenFollower(replOpts(secret), splitSource{ckpt: repl.NewNetSource(promotedAddr), tail: src})
+	if err != nil {
+		t.Fatalf("open follower of the promoted store: %v", err)
+	}
+	t.Cleanup(func() { fenced.Close() })
+	deadline := time.Now().Add(10 * time.Second)
+	for !errors.Is(fenced.ReplicationErr(), repl.ErrFenced) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ex-leader frames not fenced: ReplicationErr = %v", fenced.ReplicationErr())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if res, err := fenced.Get([]byte("zombie-write")); err != nil || res.Found {
+		t.Fatalf("stale old-epoch write visible after fencing: %+v err %v", res, err)
+	}
 }
 
 // TestNetConfigFlagValidation covers the admission-control flag parsing:

@@ -112,8 +112,9 @@
 //	epoch, err := follower.Promote(ctx) // drain, seal new epoch, go writable
 //	src, _ := follower.ReplicationSource() // the promoted store leads now
 //
-// (elsm-server: REPL PROMOTE.) Verification failures never self-heal:
-// a follower that detected tampering stays down with ReplicationErr.
+// (elsm-server: the PROMOTE op, netclient.Client.Promote.) Verification
+// failures never self-heal: a follower that detected tampering stays down
+// with ReplicationErr.
 //
 // Three modes reproduce the paper's configurations: ModeP2 (the
 // contribution: buffers outside the enclave, record-granularity Merkle

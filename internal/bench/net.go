@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -17,23 +16,22 @@ import (
 // The net ablation measures the network front end end to end: many client
 // connections pushing durable writes through the full stack — client
 // codec, TCP, the server's reader/workers/writer pipeline, the store's
-// group-commit fsyncs — on storage with a real fsync cost. Two protocols
-// run the same workload:
+// group-commit fsyncs — on storage with a real fsync cost. Two client
+// disciplines run the same workload over the same binary protocol:
 //
-//   - binary: the pipelined frame protocol, each connection keeping a
-//     window of writes in flight (netPipelineWindow deep, shrunk at the
-//     high end of the sweep so the fleet stays inside netInflightBudget),
-//     so one client contributes a window of commits to the shared fsync
-//     groups;
-//   - line: the legacy one-request-one-reply protocol, each connection
-//     contributing at most one commit at a time.
+//   - pipelined: each connection keeps a window of writes in flight
+//     (netPipelineWindow deep, shrunk at the high end of the sweep so the
+//     fleet stays inside netInflightBudget), so one client contributes a
+//     window of commits to the shared fsync groups;
+//   - request-reply: a one-request window, each connection contributing at
+//     most one commit at a time.
 //
 // Cross-connection group commit helps both; per-connection pipelining is
-// what the binary protocol adds, and the sweep shows where it pays: a
-// pipelined connection contributes a whole window to the shared fsync
-// groups, so few binary clients match the throughput line protocol needs
-// an order of magnitude more connections to reach. The final overload row
-// reruns the binary point against a deliberately tiny async-commit
+// what the window adds, and the sweep shows where it pays: a pipelined
+// connection contributes a whole window to the shared fsync groups, so few
+// pipelined clients match the throughput request-reply clients need an
+// order of magnitude more connections to reach. The final overload row
+// reruns the pipelined point against a deliberately tiny async-commit
 // backlog, demonstrating that saturation sheds load as typed BUSY
 // (counted per 1k attempts) instead of queueing without bound.
 const (
@@ -58,18 +56,18 @@ const (
 )
 
 // netClientSweep is the ablation's X axis: concurrent client connections.
-// The low end is where per-connection pipelining pays (a line-protocol
+// The low end is where per-connection pipelining pays (a request-reply
 // client is depth-starved: one commit in flight per connection); by the
 // high end a single-core CI box is saturated by connection handling alone
-// and the protocols converge. 2000 is the CI-sized ceiling — the harness
-// itself is sized for 10k (goroutine-per-connection clients, ~24 KB of
-// buffers per connection) on a machine with the cores and fds to spare.
+// and the two disciplines converge. 2000 is the CI-sized ceiling — the
+// harness itself is sized for 10k (goroutine-per-connection clients, ~24 KB
+// of buffers per connection) on a machine with the cores and fds to spare.
 var netClientSweep = []int{4, 16, 64, 2000}
 
 // netWindow sizes one connection's pipeline window for a sweep point:
 // netPipelineWindow deep until the fleet's total offered in-flight would
 // exceed netInflightBudget, then shrunk so clients×window stays inside it
-// (never below one — that is the line protocol's depth).
+// (never below one — the request-reply depth).
 func netWindow(clients int) int {
 	w := netInflightBudget / clients
 	if w < 1 {
@@ -277,45 +275,9 @@ func netBinaryOps(c *netclient.Client, id, perClient, window int) (int, int, obs
 	return completed, busy, lat.Snapshot(), nil
 }
 
-// netLineClient connects one legacy line-protocol client; its runner
-// pushes perClient durable writes, strict request-reply, one outstanding.
-func netLineClient(addr string, id, perClient int) (func() (int, int, obs.HistSnapshot, error), error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return func() (int, int, obs.HistSnapshot, error) {
-		defer conn.Close()
-		return netLineOps(conn, id, perClient)
-	}, nil
-}
-
-func netLineOps(conn net.Conn, id, perClient int) (int, int, obs.HistSnapshot, error) {
-	br := bufio.NewReader(conn)
-	val := make([]byte, netValueSize)
-	completed := 0
-	var lat obs.Histogram
-	for i := 0; i < perClient; i++ {
-		start := time.Now()
-		if _, err := fmt.Fprintf(conn, "PUT c%05d-%07d %s\n", id, i, val); err != nil {
-			return completed, 0, lat.Snapshot(), err
-		}
-		reply, err := br.ReadString('\n')
-		if err != nil {
-			return completed, 0, lat.Snapshot(), err
-		}
-		if len(reply) < 2 || reply[0] != 'O' || reply[1] != 'K' {
-			return completed, 0, lat.Snapshot(), fmt.Errorf("line PUT reply %q", reply)
-		}
-		completed++
-		lat.ObserveSince(start)
-	}
-	return completed, 0, lat.Snapshot(), nil
-}
-
 // netPerClient sizes each connection's op count: small CI budgets still
 // exercise every sweep point, and the floor of two full pipeline windows
-// guarantees the binary protocol's pipelining is actually in play.
+// guarantees the pipelined window is actually in play.
 func netPerClient(totalOps, window int, clients int) int {
 	per := totalOps / clients
 	if per < 2*window {
@@ -324,40 +286,40 @@ func netPerClient(totalOps, window int, clients int) int {
 	return per
 }
 
-// netPoint measures one (clients, protocol) cell.
-func (c Config) netPoint(clients, backlog int, wait time.Duration, binary bool) (netResult, error) {
+// netPoint measures one (clients, window) cell; window 0 sizes the
+// pipelined window by netWindow.
+func (c Config) netPoint(clients, backlog int, wait time.Duration, window int) (netResult, error) {
 	b, err := openNetBench(clients, backlog, wait)
 	if err != nil {
 		return netResult{}, err
 	}
 	defer b.Close()
-	window := netWindow(clients)
-	per := netPerClient(c.Ops, window, clients)
-	connect := func(id int) (func() (int, int, obs.HistSnapshot, error), error) {
-		if binary {
-			return netBinaryClient(b.addr, id, per, window)
-		}
-		return netLineClient(b.addr, id, per)
+	if window == 0 {
+		window = netWindow(clients)
 	}
-	return runNetClients(clients, connect)
+	per := netPerClient(c.Ops, netWindow(clients), clients)
+	return runNetClients(clients, func(id int) (func() (int, int, obs.HistSnapshot, error), error) {
+		return netBinaryClient(b.addr, id, per, window)
+	})
 }
 
-// AblationNet sweeps concurrent client connections over both wire
-// protocols, reporting durable-write throughput and p99 latency end to
-// end, plus an overload row demonstrating BUSY load shedding when the
-// async-commit backlog saturates. Expected shape: binary throughput scales
-// with clients and clearly beats line from the mid-sweep on (the pipelined
-// window multiplies each connection's contribution to shared fsync
-// groups); the overload row sheds a nonzero busy/1k while still completing
-// work — and the server neither deadlocks nor buffers without bound.
+// AblationNet sweeps concurrent client connections with pipelined and
+// request-reply clients, reporting durable-write throughput and p99
+// latency end to end, plus an overload row demonstrating BUSY load
+// shedding when the async-commit backlog saturates. Expected shape:
+// pipelined throughput scales with clients and clearly beats request-reply
+// at the low end of the sweep (the pipelined window multiplies each
+// connection's contribution to shared fsync groups); the overload row
+// sheds a nonzero busy/1k while still completing work — and the server
+// neither deadlocks nor buffers without bound.
 func AblationNet(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		Name: "Ablation: net",
-		Caption: fmt.Sprintf("networked durable puts vs client connections, up to %d-deep binary pipeline vs line request-reply, %v fsync (throughput: kops/s; latency: p99 ms)",
+		Caption: fmt.Sprintf("networked durable puts vs client connections, up to %d-deep pipeline vs request-reply, %v fsync (throughput: kops/s; latency: p99 ms)",
 			netPipelineWindow, netSyncDelay),
 		XLabel: "clients",
-		Series: seriesOrder("binary kops/s", "line kops/s", "binary p99 ms", "line p99 ms", "busy/1k"),
+		Series: seriesOrder("pipelined kops/s", "request-reply kops/s", "pipelined p99 ms", "request-reply p99 ms", "busy/1k"),
 	}
 	// Warm-up: the first cell in a process pays one-off costs (heap
 	// growth, page faults, the crypto stack's first blocks) that skew a
@@ -365,30 +327,30 @@ func AblationNet(cfg Config) (Table, error) {
 	// point.
 	warm := cfg
 	warm.Ops = 2000
-	if _, err := warm.netPoint(32, 0, 0, true); err != nil {
+	if _, err := warm.netPoint(32, 0, 0, 0); err != nil {
 		return t, fmt.Errorf("net ablation (warm-up): %w", err)
 	}
 
 	for _, clients := range netClientSweep {
 		cfg.logf("AblationNet clients=%d", clients)
-		bin, err := cfg.netPoint(clients, 0, 0, true)
+		pipe, err := cfg.netPoint(clients, 0, 0, 0)
 		if err != nil {
-			return t, fmt.Errorf("net ablation (binary, %d clients): %w", clients, err)
+			return t, fmt.Errorf("net ablation (pipelined, %d clients): %w", clients, err)
 		}
-		line, err := cfg.netPoint(clients, 0, 0, false)
+		rr, err := cfg.netPoint(clients, 0, 0, 1)
 		if err != nil {
-			return t, fmt.Errorf("net ablation (line, %d clients): %w", clients, err)
+			return t, fmt.Errorf("net ablation (request-reply, %d clients): %w", clients, err)
 		}
-		cfg.logf("    %d clients: binary %.1f kops/s p99 %.2f ms | line %.1f kops/s p99 %.2f ms",
-			clients, bin.kops(), bin.p99ms(), line.kops(), line.p99ms())
+		cfg.logf("    %d clients: pipelined %.1f kops/s p99 %.2f ms | request-reply %.1f kops/s p99 %.2f ms",
+			clients, pipe.kops(), pipe.p99ms(), rr.kops(), rr.p99ms())
 		t.Rows = append(t.Rows, Row{
 			X: fmt.Sprintf("%d", clients),
 			Series: map[string]float64{
-				"binary kops/s": bin.kops(),
-				"line kops/s":   line.kops(),
-				"binary p99 ms": bin.p99ms(),
-				"line p99 ms":   line.p99ms(),
-				"busy/1k":       0,
+				"pipelined kops/s":     pipe.kops(),
+				"request-reply kops/s": rr.kops(),
+				"pipelined p99 ms":     pipe.p99ms(),
+				"request-reply p99 ms": rr.p99ms(),
+				"busy/1k":              0,
 			},
 		})
 	}
@@ -397,7 +359,7 @@ func AblationNet(cfg Config) (Table, error) {
 	// netOverloadClients×netPipelineWindow in-flight writes. The server
 	// must shed (busy/1k > 0) while the admitted share completes.
 	cfg.logf("AblationNet overload (backlog %d)", netOverloadBacklog)
-	over, err := cfg.netPoint(netOverloadClients, netOverloadBacklog, 2*time.Millisecond, true)
+	over, err := cfg.netPoint(netOverloadClients, netOverloadBacklog, 2*time.Millisecond, 0)
 	if err != nil {
 		return t, fmt.Errorf("net ablation (overload): %w", err)
 	}
@@ -410,9 +372,9 @@ func AblationNet(cfg Config) (Table, error) {
 	t.Rows = append(t.Rows, Row{
 		X: fmt.Sprintf("%d overload", netOverloadClients),
 		Series: map[string]float64{
-			"binary kops/s": over.kops(),
-			"binary p99 ms": over.p99ms(),
-			"busy/1k":       busyPerK,
+			"pipelined kops/s": over.kops(),
+			"pipelined p99 ms": over.p99ms(),
+			"busy/1k":          busyPerK,
 		},
 	})
 	return t, nil

@@ -366,6 +366,17 @@ func (c *Client) Stats() (map[string]uint64, error) {
 	return m, nil
 }
 
+// Promote turns the server's follower store into a writable leader — the
+// failover step — and returns the new replication epoch. From then on
+// followers of the promoted store reject frames from the deposed leader.
+func (c *Client) Promote() (uint64, error) {
+	resp, err := c.call(&netproto.Request{Op: netproto.OpPromote})
+	if err != nil {
+		return 0, err
+	}
+	return resp.Ts, nil
+}
+
 // Future is an in-flight pipelined request. See PutAsync.
 type Future struct {
 	c  *Client

@@ -10,18 +10,16 @@
 //
 // Requests carry a client-chosen id; responses echo it, so a server may
 // answer out of order and a client demultiplexes by id. Streaming results
-// (SCAN) are multi-frame: any number of CodeRows chunks followed by one
-// CodeScanEnd terminator (or CodeErr), all under the request's id.
+// are multi-frame, all under the request's id: a SCAN is any number of
+// CodeRows chunks followed by one CodeScanEnd terminator (or CodeErr); a
+// replication stream (checkpoint or tail) is CodeChunk frames of opaque
+// bytes, ended by CodeScanEnd or CodeErr.
 //
 // The codec is defensive by construction: byte strings are uvarint
 // length-prefixed and every decode is bounds-checked, so truncated,
 // oversized or garbage frames surface as typed errors (*FrameError,
 // *DecodeError) a server can answer without losing framing — ReadFrame
 // discards an oversized frame's payload and keeps the connection usable.
-//
-// The first payload-length byte of any frame under 16 MB is 0x00, while
-// the legacy line protocol starts with a printable command letter; servers
-// exploit this to sniff the protocol on the first byte of a connection.
 package netproto
 
 import (
@@ -59,6 +57,17 @@ const (
 	OpStats
 	// OpPing is a liveness probe (empty body).
 	OpPing
+	// OpReplCheckpoint streams one shard's attested checkpoint as
+	// CodeChunk frames ended by CodeScanEnd: shard.
+	OpReplCheckpoint
+	// OpReplTail streams one shard's attested commit groups past fromTs
+	// as CodeChunk frames until either side goes away: shard, fromTs. The
+	// server answers an empty chunk as soon as the stream can start, or
+	// ErrnoBehind when fromTs has left the leader's retained ring.
+	OpReplTail
+	// OpPromote turns a follower into a writable leader, answered by
+	// CodeOK with the new replication epoch as its ts (empty body).
+	OpPromote
 )
 
 func (o Op) String() string {
@@ -79,6 +88,12 @@ func (o Op) String() string {
 		return "STATS"
 	case OpPing:
 		return "PING"
+	case OpReplCheckpoint:
+		return "REPL_CHECKPOINT"
+	case OpReplTail:
+		return "REPL_TAIL"
+	case OpPromote:
+		return "PROMOTE"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -96,7 +111,8 @@ const (
 	CodeNotFound
 	// CodeRows is one SCAN chunk: count, then per row key, ts, value.
 	CodeRows
-	// CodeScanEnd terminates a SCAN stream: total row count.
+	// CodeScanEnd terminates a SCAN stream (total row count) or a
+	// checkpoint stream (total byte count).
 	CodeScanEnd
 	// CodeErr reports a typed failure: errno, message.
 	CodeErr
@@ -108,6 +124,9 @@ const (
 	CodeStats
 	// CodePong answers OpPing (empty body).
 	CodePong
+	// CodeChunk is one slice of a replication byte stream: the body is
+	// the bytes themselves.
+	CodeChunk
 )
 
 // Errno classifies a CodeErr response.
@@ -127,6 +146,9 @@ const (
 	ErrnoAuth
 	// ErrnoReadOnly reports a write against a read-only replica.
 	ErrnoReadOnly
+	// ErrnoBehind reports a tail cursor older than the leader's retained
+	// ring: the follower must re-bootstrap from a fresh checkpoint.
+	ErrnoBehind
 )
 
 // BatchOp is one operation of an OpBatch request.
@@ -282,6 +304,9 @@ type Request struct {
 	// Start, End, Tsq are the Scan payload (Tsq 0 = latest).
 	Start, End []byte
 	Tsq        uint64
+	// Shard and FromTs are the replication stream payload (FromTs: tail
+	// only).
+	Shard, FromTs uint64
 }
 
 // AppendRequest encodes req as one frame appended to dst.
@@ -310,7 +335,12 @@ func AppendRequest(dst []byte, req *Request) []byte {
 		body = appendBytes(body, req.Start)
 		body = appendBytes(body, req.End)
 		body = appendUvarint(body, req.Tsq)
-	case OpSync, OpStats, OpPing:
+	case OpReplCheckpoint:
+		body = appendUvarint(body, req.Shard)
+	case OpReplTail:
+		body = appendUvarint(body, req.Shard)
+		body = appendUvarint(body, req.FromTs)
+	case OpSync, OpStats, OpPing, OpPromote:
 		// empty body
 	}
 	var hdr [4 + frameOverhead]byte
@@ -321,8 +351,8 @@ func AppendRequest(dst []byte, req *Request) []byte {
 	return append(dst, body...)
 }
 
-// maxBatchOps bounds one decoded batch (protocol abuse guard, mirroring
-// the line protocol's cap).
+// maxBatchOps bounds one decoded batch (protocol abuse guard: it caps the
+// ops slice a hostile count can make the decoder allocate).
 const maxBatchOps = 10000
 
 // DecodeRequest decodes a request frame's body. Unknown opcodes and
@@ -383,7 +413,18 @@ func DecodeRequest(typ uint8, id uint64, body []byte) (*Request, error) {
 		if req.Tsq, body, err = readUvarint(body, "scan tsq"); err != nil {
 			return nil, err
 		}
-	case OpSync, OpStats, OpPing:
+	case OpReplCheckpoint:
+		if req.Shard, body, err = readUvarint(body, "checkpoint shard"); err != nil {
+			return nil, err
+		}
+	case OpReplTail:
+		if req.Shard, body, err = readUvarint(body, "tail shard"); err != nil {
+			return nil, err
+		}
+		if req.FromTs, body, err = readUvarint(body, "tail fromTs"); err != nil {
+			return nil, err
+		}
+	case OpSync, OpStats, OpPing, OpPromote:
 		// empty body expected; tolerate trailing bytes below
 	default:
 		return nil, &DecodeError{What: fmt.Sprintf("opcode %d", typ)}
@@ -403,7 +444,7 @@ type Response struct {
 	Code  Code
 	ID    uint64
 	Ts    uint64 // OK, Value
-	Value []byte // Value
+	Value []byte // Value, Chunk
 	Rows  []Row  // Rows
 	Total uint64 // ScanEnd
 	Errno Errno  // Err
@@ -465,6 +506,8 @@ func DecodeResponse(typ uint8, id uint64, body []byte) (*Response, error) {
 		}
 	case CodeNotFound, CodeBusy, CodePong:
 		// empty body
+	case CodeChunk:
+		resp.Value, body = body, nil
 	case CodeRows:
 		var n uint64
 		if n, body, err = readUvarint(body, "row count"); err != nil {

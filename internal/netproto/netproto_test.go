@@ -43,10 +43,13 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpSync, ID: 7},
 		{Op: OpStats, ID: 8},
 		{Op: OpPing, ID: 9},
+		{Op: OpReplCheckpoint, ID: 10, Shard: 3},
+		{Op: OpReplTail, ID: 11, Shard: 1, FromTs: 1 << 40},
+		{Op: OpPromote, ID: 12},
 	}
 	for _, req := range reqs {
 		got := roundTripReq(t, req)
-		if got.Op != req.Op || got.ID != req.ID || got.Tsq != req.Tsq {
+		if got.Op != req.Op || got.ID != req.ID || got.Tsq != req.Tsq || got.Shard != req.Shard || got.FromTs != req.FromTs {
 			t.Fatalf("%s: got %+v, want %+v", req.Op, got, req)
 		}
 		if !bytes.Equal(got.Key, req.Key) || !bytes.Equal(got.Value, req.Value) ||
@@ -81,6 +84,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		{CodeStats, AppendStats(nil, []Stat{{Name: "net_connections", Value: 4}}),
 			Response{Stats: []Stat{{Name: "net_connections", Value: 4}}}},
 		{CodePong, nil, Response{}},
+		{CodeChunk, []byte("stream\x00bytes"), Response{Value: []byte("stream\x00bytes")}},
+		{CodeErr, AppendErr(nil, ErrnoBehind, "behind"), Response{Errno: ErrnoBehind, Msg: "behind"}},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
@@ -182,6 +187,9 @@ func TestGarbageBodiesDrawTypedErrors(t *testing.T) {
 		{"batch count abuse", uint8(OpBatch), appendUvarint(nil, 1<<32)},
 		{"scan missing tsq", uint8(OpScan), appendBytes(appendBytes(nil, []byte("a")), []byte("z"))},
 		{"trailing bytes", uint8(OpPing), []byte{1}},
+		{"checkpoint missing shard", uint8(OpReplCheckpoint), nil},
+		{"tail missing fromTs", uint8(OpReplTail), appendUvarint(nil, 0)},
+		{"promote trailing bytes", uint8(OpPromote), []byte{0}},
 	}
 	for _, c := range cases {
 		_, err := DecodeRequest(c.typ, 1, c.body)
@@ -192,15 +200,5 @@ func TestGarbageBodiesDrawTypedErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), "netproto: malformed") {
 			t.Fatalf("%s: error %q missing typed prefix", c.name, err)
 		}
-	}
-}
-
-func TestBinarySniffByte(t *testing.T) {
-	// The dual-protocol server distinguishes framed connections by their
-	// first byte: any frame below MaxFrame starts 0x00, line commands
-	// start with a printable letter.
-	frame := AppendRequest(nil, &Request{Op: OpGet, ID: 1, Key: []byte("k")})
-	if frame[0] != 0 {
-		t.Fatalf("first frame byte = %#x, want 0x00", frame[0])
 	}
 }

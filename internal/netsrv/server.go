@@ -29,10 +29,10 @@
 // deadline, so one stalled client tears its own connection down instead of
 // pinning SCAN chunk memory for everyone.
 //
-// The server auto-detects the legacy line protocol on the first byte of
-// each connection (binary frames start 0x00, line commands with a letter),
-// so old clients — including REPL checkpoint/tail followers — share the
-// port with pipelined binary clients.
+// Replication rides the same frames: a follower's checkpoint and tail
+// streams are CodeChunk sequences served on the worker stage like a SCAN,
+// and failover promotion is one request. There is one decoder for client,
+// replication and failover traffic.
 package netsrv
 
 import (
@@ -49,6 +49,7 @@ import (
 	"elsm/internal/netproto"
 	"elsm/internal/obs"
 	"elsm/internal/record"
+	"elsm/internal/repl"
 )
 
 // Defaults for the zero Config. Exported so flag defaults and docs quote
@@ -73,9 +74,9 @@ const connWorkers = 4
 // Config tunes the front end. The zero value is production-ready; fields
 // set to zero resolve to the Default* constants above.
 type Config struct {
-	// MaxConnections caps concurrent connections (line and binary). A
-	// connection beyond the cap is answered with one BUSY frame and
-	// closed — clients see a typed refusal, not a hung dial.
+	// MaxConnections caps concurrent connections. A connection beyond
+	// the cap is answered with one BUSY frame and closed — clients see a
+	// typed refusal, not a hung dial.
 	MaxConnections int
 	// PipelineDepth bounds each connection's decoded-but-unanswered
 	// requests. When a client pipelines past it, the server stops reading
@@ -160,7 +161,7 @@ type Stats struct {
 	// the in-flight budget, and writes shed on commit-backlog
 	// backpressure.
 	BusyRejects uint64
-	// BytesIn / BytesOut count socket traffic in both protocols.
+	// BytesIn / BytesOut count socket traffic.
 	BytesIn  uint64
 	BytesOut uint64
 	// PipelineDepthHWM is the highest per-connection pipeline depth any
@@ -308,14 +309,19 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write counts before the bytes can reach the peer, so a client that has
+// read a response never sees a gauge that misses it; a short write takes
+// back what it did not send.
 func (c *countingConn) Write(p []byte) (int, error) {
+	c.srv.bytesOut.Add(uint64(len(p)))
 	n, err := c.Conn.Write(p)
-	c.srv.bytesOut.Add(uint64(n))
+	if n < len(p) {
+		c.srv.bytesOut.Add(^uint64(len(p) - n - 1))
+	}
 	return n, err
 }
 
-// handle serves one accepted connection: admission, protocol sniff,
-// dispatch.
+// handle serves one accepted connection: admission, then the pipeline.
 func (s *Server) handle(nc net.Conn) {
 	defer nc.Close()
 	// Connection cap: shed with a typed BUSY frame, never queue the
@@ -337,19 +343,7 @@ func (s *Server) handle(nc net.Conn) {
 	s.conns.Add(1)
 	defer s.conns.Add(-1)
 
-	cc := &countingConn{Conn: nc, srv: s}
-	br := bufio.NewReaderSize(cc, 8<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] >= 0x20 {
-		// Printable first byte: the legacy line protocol (including REPL
-		// streams). Binary frames under 16 MB always start 0x00.
-		serveLine(br, cc, s.store)
-		return
-	}
-	s.serveBinary(br, cc)
+	s.serveConn(&countingConn{Conn: nc, srv: s})
 }
 
 // respFrame is one encoded response awaiting the writer goroutine.
@@ -368,7 +362,7 @@ type respFrame struct {
 	release bool
 }
 
-// conn is one binary connection's pipeline state.
+// conn is one connection's pipeline state.
 type conn struct {
 	srv    *Server
 	ctx    context.Context
@@ -395,6 +389,8 @@ func errnoOf(err error) netproto.Errno {
 		return netproto.ErrnoAuth
 	case errors.Is(err, elsm.ErrReadOnlyReplica):
 		return netproto.ErrnoReadOnly
+	case errors.Is(err, repl.ErrBehind):
+		return netproto.ErrnoBehind
 	default:
 		return netproto.ErrnoGeneric
 	}
@@ -404,8 +400,8 @@ func errFrame(id uint64, errno netproto.Errno, msg string) respFrame {
 	return respFrame{typ: uint8(netproto.CodeErr), id: id, body: netproto.AppendErr(nil, errno, msg)}
 }
 
-// serveBinary runs the reader/workers/writer pipeline over one connection.
-func (s *Server) serveBinary(br *bufio.Reader, nc net.Conn) {
+// serveConn runs the reader/workers/writer pipeline over one connection.
+func (s *Server) serveConn(nc net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c := &conn{
@@ -499,6 +495,7 @@ func (s *Server) serveBinary(br *bufio.Reader, nc net.Conn) {
 
 	// Reader: decode frames into the bounded queue; shed past the global
 	// budget; survive recoverable framing faults.
+	br := bufio.NewReaderSize(nc, 8<<10)
 	for {
 		typ, id, body, err := netproto.ReadFrame(br, netproto.MaxFrame)
 		if err != nil {
@@ -514,7 +511,7 @@ func (s *Server) serveBinary(br *bufio.Reader, nc net.Conn) {
 		req, derr := netproto.DecodeRequest(typ, id, body)
 		if derr != nil {
 			errno := netproto.ErrnoMalformed
-			if op := netproto.Op(typ); op < netproto.OpPut || op > netproto.OpPing {
+			if op := netproto.Op(typ); op < netproto.OpPut || op > netproto.OpPromote {
 				errno = netproto.ErrnoUnknownOp
 			}
 			if !c.respond(errFrame(id, errno, derr.Error())) {
@@ -572,8 +569,13 @@ func (s *Server) serveBinary(br *bufio.Reader, nc net.Conn) {
 // execute runs one request against the store and queues its response(s).
 // Service time — dispatch to last response queued — lands in the
 // NetService histogram (SCAN included: the span covers the whole chunk
-// stream).
+// stream). Replication streams stay out of it: they last as long as their
+// follower, not as long as a request takes.
 func (s *Server) execute(c *conn, req *netproto.Request) {
+	if req.Op == netproto.OpReplCheckpoint || req.Op == netproto.OpReplTail {
+		s.executeRepl(c, req)
+		return
+	}
 	if o := s.obs; o != nil {
 		defer func(start time.Time) { o.NetService.ObserveSince(start) }(time.Now())
 	}
@@ -601,6 +603,13 @@ func (s *Server) execute(c *conn, req *netproto.Request) {
 		c.respond(respFrame{typ: uint8(netproto.CodeOK), id: id, body: netproto.AppendOK(nil, 0)})
 	case netproto.OpStats:
 		c.respond(respFrame{typ: uint8(netproto.CodeStats), id: id, body: netproto.AppendStats(nil, s.statsPairs())})
+	case netproto.OpPromote:
+		epoch, err := s.store.Promote(c.ctx)
+		if err != nil {
+			c.respond(errFrame(id, errnoOf(err), err.Error()))
+			return
+		}
+		c.respond(respFrame{typ: uint8(netproto.CodeOK), id: id, body: netproto.AppendOK(nil, epoch)})
 	default:
 		c.respond(errFrame(id, netproto.ErrnoUnknownOp, fmt.Sprintf("netsrv: unhandled op %d", req.Op)))
 	}
@@ -644,9 +653,11 @@ func (s *Server) admitWrite(c *conn, req *netproto.Request) {
 	switch {
 	case err == nil:
 		f = respFrame{id: req.ID, fut: fut, release: true}
-	case actx.Err() != nil && c.ctx.Err() == nil:
+	case errors.Is(err, context.DeadlineExceeded):
 		// The admission gate (MaxAsyncCommitBacklog) stayed full for
-		// the whole wait: the durability pipeline is saturated.
+		// the whole wait: the durability pipeline is saturated. (Only
+		// the admission wait has a deadline; any other refusal, such as
+		// a read-only replica, is answered with its own errno below.)
 		s.busyRejects.Add(1)
 		s.obs.BusyShed("admission-wait")
 		f = respFrame{typ: uint8(netproto.CodeBusy), id: req.ID, release: true}
@@ -716,9 +727,70 @@ func (s *Server) executeScan(c *conn, req *netproto.Request) {
 	c.respond(respFrame{typ: uint8(netproto.CodeScanEnd), id: req.ID, body: netproto.AppendOK(nil, total)})
 }
 
+// replChunkBytes bounds one CodeChunk frame; a larger stream write (a
+// big commit group) is split across several frames.
+const replChunkBytes = 128 << 10
+
+// executeRepl streams one shard's checkpoint or tail to a follower. Each
+// write of the leader's stream becomes CodeChunk frames through the
+// connection's writer, so the server's WriteTimeout bounds a follower that
+// stops draining. A tail ends when the follower goes away: the reader
+// cancels c.ctx on peer close, which stops a stream idling at the head of
+// a quiet leader.
+func (s *Server) executeRepl(c *conn, req *netproto.Request) {
+	if req.Shard >= uint64(s.store.Shards()) {
+		c.respond(errFrame(req.ID, netproto.ErrnoMalformed, fmt.Sprintf("netsrv: no such shard %d", req.Shard)))
+		return
+	}
+	shard := int(req.Shard)
+	w := &chunkWriter{c: c, id: req.ID}
+	var err error
+	if req.Op == netproto.OpReplCheckpoint {
+		if err = s.store.ServeCheckpoint(shard, w); err == nil {
+			c.respond(respFrame{typ: uint8(netproto.CodeScanEnd), id: req.ID, body: netproto.AppendOK(nil, w.total)})
+			return
+		}
+	} else if err = s.store.TailReady(shard, req.FromTs); err == nil {
+		// Answer with an empty chunk as soon as the stream can start: a
+		// caught-up follower of an idle leader would otherwise hear
+		// nothing until the first heartbeat.
+		w.chunk(nil)
+		err = s.store.ServeTail(shard, req.FromTs, w, c.ctx.Done())
+	}
+	if err != nil {
+		c.respond(errFrame(req.ID, errnoOf(err), err.Error()))
+	}
+}
+
+// chunkWriter turns a replication stream's writes into CodeChunk frames.
+// It copies: the frame is encoded later by the writer goroutine, while the
+// stream reuses its buffers.
+type chunkWriter struct {
+	c     *conn
+	id    uint64
+	total uint64
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	for n := 0; n < len(p); {
+		m := min(len(p)-n, replChunkBytes)
+		if !w.chunk(p[n : n+m]) {
+			return n, w.c.ctx.Err()
+		}
+		n += m
+	}
+	return len(p), nil
+}
+
+// chunk queues one CodeChunk frame holding a copy of b; false if the
+// connection is going down.
+func (w *chunkWriter) chunk(b []byte) bool {
+	w.total += uint64(len(b))
+	return w.c.respond(respFrame{typ: uint8(netproto.CodeChunk), id: w.id, body: append([]byte(nil), b...)})
+}
+
 // statsPairs renders the store's counters plus the front end's net_*
-// gauges — the binary protocol's STATS payload. The store list mirrors the
-// line protocol's STATS command; the net_* block is what this layer adds.
+// gauges — the STATS payload. The net_* block is what this layer adds.
 func (s *Server) statsPairs() []netproto.Stat {
 	pairs := storeStatsPairs(s.store)
 	ns := s.Stats()
@@ -730,4 +802,99 @@ func (s *Server) statsPairs() []netproto.Stat {
 		netproto.Stat{Name: "net_bytes_out", Value: ns.BytesOut},
 		netproto.Stat{Name: "net_pipeline_depth_hwm", Value: ns.PipelineDepthHWM},
 	)
+}
+
+// storeStatsPairs renders the store's counters as name/value pairs — the
+// one list behind STATS and /metrics, including the
+// background-maintenance counters, the resolved group-commit window and
+// the per-shard (shardN_*) breakdown, so an operator can see whether load
+// spreads or one partition runs hot. statsPairs appends the net_* gauges
+// on top.
+func storeStatsPairs(store *elsm.Store) []netproto.Stat {
+	st := store.Stats()
+	pairs := []netproto.Stat{
+		{Name: "shards", Value: uint64(st.Shards)},
+		{Name: "flushes", Value: st.Flushes},
+		{Name: "compactions", Value: st.Compactions},
+		{Name: "background_compactions", Value: st.BackgroundCompactions},
+		{Name: "bytes_flushed", Value: st.BytesFlushed},
+		{Name: "bytes_compacted", Value: st.BytesCompacted},
+		{Name: "records_dropped", Value: st.RecordsDropped},
+		{Name: "manifest_updates", Value: st.ManifestUpdates},
+		{Name: "disk_bytes", Value: uint64(st.DiskBytes)},
+		{Name: "wal_syncs", Value: st.WALSyncs},
+		{Name: "group_commits", Value: st.GroupCommits},
+		{Name: "grouped_records", Value: st.GroupedRecords},
+		{Name: "wal_torn_records", Value: st.WALTornRecords},
+		{Name: "flush_stall_nanos", Value: st.FlushStallNanos},
+		{Name: "compaction_stall_nanos", Value: st.CompactionStallNanos},
+		{Name: "compaction_debt_bytes", Value: st.CompactionDebtBytes},
+		{Name: "parallel_compactions", Value: st.ParallelCompactions},
+		{Name: "compaction_workers_busy", Value: st.CompactionWorkersBusy},
+		{Name: "pinned_runs", Value: st.PinnedRuns},
+		{Name: "snapshots_open", Value: st.SnapshotsOpen},
+		{Name: "async_commits_in_flight", Value: st.AsyncCommitsInFlight},
+		{Name: "group_commit_window_nanos", Value: st.GroupCommitWindowNanos},
+		{Name: "fsync_ewma_nanos", Value: st.FsyncEWMANanos},
+		{Name: "page_faults", Value: st.PageFaults},
+		{Name: "ecalls", Value: st.ECalls},
+		{Name: "ocalls", Value: st.OCalls},
+		{Name: "copied_bytes", Value: st.CopiedBytes},
+		{Name: "enclave_bytes", Value: uint64(st.EnclaveBytes)},
+		{Name: "verified_gets", Value: st.VerifiedGets},
+		{Name: "proof_bytes", Value: st.ProofBytes},
+		{Name: "runs_probed", Value: st.RunsProbed},
+		{Name: "repl_lag_groups", Value: st.ReplLagGroups},
+		{Name: "repl_lag_bytes", Value: st.ReplLagBytes},
+		{Name: "followers_connected", Value: st.FollowersConnected},
+		{Name: "repl_reconnects", Value: st.ReplReconnects},
+		{Name: "repl_rebootstraps", Value: st.ReplRebootstraps},
+		{Name: "repl_epoch", Value: st.ReplEpoch},
+	}
+	for lvl, debt := range st.CompactionDebtByLevel {
+		pairs = append(pairs, netproto.Stat{Name: fmt.Sprintf("compaction_debt_level%d", lvl), Value: debt})
+	}
+	pairs = append(pairs, histStatsPairs(store)...)
+	for i, ss := range store.ShardStats() {
+		pairs = append(pairs,
+			netproto.Stat{Name: fmt.Sprintf("shard%d_wal_syncs", i), Value: ss.WALSyncs},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_group_commits", i), Value: ss.GroupCommits},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_snapshots_open", i), Value: ss.SnapshotsOpen},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_async_commits_in_flight", i), Value: ss.AsyncCommitsInFlight},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_disk_bytes", i), Value: uint64(ss.DiskBytes)},
+			netproto.Stat{Name: fmt.Sprintf("shard%d_compaction_debt_bytes", i), Value: ss.CompactionDebtBytes},
+		)
+	}
+	return pairs
+}
+
+// histStatsPairs folds the store's per-shard latency histograms (the
+// canonical obs.Recorder.Hists list — the same one /metrics renders) into
+// store-wide count/p50/p99 pairs for the STATS frame.
+// Shards merge bucket-wise before the quantile is taken, so the percentile
+// is computed over the union of observations, never averaged across
+// shards. Histograms with no observations are omitted: an uninstrumented
+// or idle store keeps its STATS output unchanged.
+func histStatsPairs(store *elsm.Store) []netproto.Stat {
+	recs := store.Recorders()
+	if len(recs) == 0 {
+		return nil
+	}
+	var pairs []netproto.Stat
+	names := recs[0].Hists()
+	for idx, nh := range names {
+		snap := nh.Hist.Snapshot()
+		for _, r := range recs[1:] {
+			snap.Merge(r.Hists()[idx].Hist.Snapshot())
+		}
+		if snap.Count == 0 {
+			continue
+		}
+		pairs = append(pairs,
+			netproto.Stat{Name: "hist_" + nh.Name + "_count", Value: snap.Count},
+			netproto.Stat{Name: "hist_" + nh.Name + "_p50", Value: snap.Quantile(0.5)},
+			netproto.Stat{Name: "hist_" + nh.Name + "_p99", Value: snap.Quantile(0.99)},
+		)
+	}
+	return pairs
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -14,6 +13,8 @@ import (
 	"elsm"
 	"elsm/internal/netclient"
 	"elsm/internal/netproto"
+	"elsm/internal/repl"
+	"elsm/internal/sgx"
 	"elsm/internal/vfs"
 )
 
@@ -431,48 +432,55 @@ func TestFrameFaultsAnswered(t *testing.T) {
 	}
 }
 
-// TestLineProtocolSniffed drives the legacy line protocol through the
-// binary server's port: the first printable byte routes the connection to
-// the line handler.
-func TestLineProtocolSniffed(t *testing.T) {
-	_, addr := startServer(t, elsm.Options{}, Config{})
-	conn, err := net.Dial("tcp", addr)
+// TestReplTailFreedOnPeerClose closes tails idling at the head of a quiet
+// leader — a raw stream, then a follower's. Heartbeats are slowed past the
+// test's deadline, so no stream write can notice the dead peer: only the
+// reader cancelling the connection's context on peer close frees the
+// stream, and the leader's followers_connected must return to 0. The slow
+// heartbeat also proves the tail request is answered before the first
+// heartbeat.
+func TestReplTailFreedOnPeerClose(t *testing.T) {
+	oldHB := repl.HeartbeatInterval
+	repl.HeartbeatInterval = time.Minute
+	defer func() { repl.HeartbeatInterval = oldHB }()
+
+	platform := func() *sgx.Platform { return sgx.NewPlatformFromSecret([]byte("tail-close")) }
+	srv, addr := startServer(t, elsm.Options{Platform: platform()}, Config{})
+	head, err := srv.store.Put([]byte("k"), []byte("v"))
 	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	if _, err := io.WriteString(conn, "PUT alpha one\nGET alpha\nSTATS\nQUIT\n"); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadString('\n')
-	if err != nil || !strings.HasPrefix(line, "OK ") {
-		t.Fatalf("PUT reply %q err %v", line, err)
+	connected := func() uint64 { return srv.store.Stats().FollowersConnected }
+
+	// A tail at the head is answered at once, not at the first heartbeat.
+	rc, err := repl.NewNetSource(addr).Tail(0, head)
+	if err != nil {
+		t.Fatalf("tail at the head of an idle leader: %v", err)
 	}
-	line, err = br.ReadString('\n')
-	if err != nil || !strings.HasPrefix(line, "VALUE ") || !strings.Contains(line, "one") {
-		t.Fatalf("GET reply %q err %v", line, err)
+	waitFor(t, "the tail to attach", func() bool { return connected() == 1 })
+	rc.Close()
+	waitFor(t, "the raw tail to detach", func() bool { return connected() == 0 })
+
+	follower, err := elsm.OpenFollower(elsm.Options{Platform: platform()}, repl.NewNetSource(addr))
+	if err != nil {
+		t.Fatalf("open follower: %v", err)
 	}
-	sawWALSyncs := false
-	for {
-		line, err = br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("STATS stream: %v", err)
+	waitFor(t, "the follower's tail to attach", func() bool { return connected() == 1 })
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "followers_connected to return to 0", func() bool { return connected() == 0 })
+}
+
+// waitFor polls cond for up to 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		if strings.HasPrefix(line, "STAT wal_syncs ") {
-			sawWALSyncs = true
-		}
-		if line == "END\n" {
-			break
-		}
-	}
-	if !sawWALSyncs {
-		t.Fatalf("line STATS lost the store counters after the netsrv move")
-	}
-	// Both protocols interleave on one port.
-	c := dial(t, addr)
-	if res, err := c.Get([]byte("alpha")); err != nil || string(res.Value) != "one" {
-		t.Fatalf("binary read of line-written key: %+v err %v", res, err)
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

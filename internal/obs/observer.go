@@ -343,9 +343,8 @@ func (r *Recorder) Record(t Trace, sampled bool) {
 }
 
 // Hists enumerates the recorder's histograms with their canonical
-// metric names — the ONE list behind /metrics, the binary STATS frame
-// and the line protocol's histogram pairs, so the three expositions
-// can never drift apart.
+// metric names — the ONE list behind /metrics and the STATS frame's
+// histogram pairs, so the two expositions can never drift apart.
 func (r *Recorder) Hists() []NamedHist {
 	if r == nil {
 		return nil

@@ -156,7 +156,7 @@ func (l *Leader) WriteCheckpoint(w io.Writer) error {
 // TailReady reports whether a tail stream starting at fromTs can serve at
 // least its first frame: ErrLeaderClosed after Close, ErrBehind when the
 // cursor has fallen out of the retained ring (re-bootstrap), nil
-// otherwise. Used by servers to settle the status line before ServeTail
+// otherwise. Used by servers to answer a tail request before ServeTail
 // blocks at the head of a quiet leader.
 func (l *Leader) TailReady(fromTs uint64) error {
 	l.mu.Lock()
